@@ -12,12 +12,15 @@ The manifest records the epoch, the resolved config, the vocabulary, the
 optimizer step count, the RNG state, the metric history, and one entry
 per tensor: name, shape, kind (param / adam_m / adam_v) and whether the
 parameter is trainable. Saving the result of a load reproduces the file
-byte for byte.
+byte for byte. Saving is atomic: a file at the target path is replaced
+only by a complete new one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -71,15 +74,28 @@ def _manifest(ck):
 
 
 def save_checkpoint(path, ck):
-    manifest = json.dumps(_manifest(ck), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IQ", VERSION, len(manifest)))
-        fh.write(manifest)
-        for entry in _manifest(ck)["tensors"]:
-            source = {"param": None, "adam_m": ck.adam_m, "adam_v": ck.adam_v}[entry["kind"]]
-            arr = ck.params[entry["name"]].data if source is None else source[entry["name"]]
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    """Write `ck` to `path` atomically.
+
+    The bytes go to a sibling temporary file that replaces `path` only
+    once complete, so a failed write leaves any previous file intact.
+    """
+    manifest = _manifest(ck)
+    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<IQ", VERSION, len(header)))
+            fh.write(header)
+            for entry in manifest["tensors"]:
+                source = {"param": None, "adam_m": ck.adam_m, "adam_v": ck.adam_v}[entry["kind"]]
+                arr = ck.params[entry["name"]].data if source is None else source[entry["name"]]
+                fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -8,6 +8,7 @@ command line override.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .data import task_spec
@@ -55,8 +56,14 @@ class TrainConfig:
 
     def validate(self):
         task_spec(self.task)
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise ConfigError(f"grad_clip must be finite and non-negative (0 disables clipping), got {self.grad_clip}")
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ConfigError(f"batch_size and epochs must be at least 1, got {self.batch_size} and {self.epochs}")
+        if self.max_len < 0 or self.contextual_dim < 0:
+            raise ConfigError(f"max_len and contextual_dim must not be negative, got {self.max_len} and {self.contextual_dim}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.kernel % 2 == 0:

@@ -6,6 +6,13 @@ vector-Jacobian closure on the output node; `Tensor.backward()` replays
 the recorded graph once, in reverse topological order, accumulating
 gradients into every node that requires them.
 
+Row gathers (`take_rows`) accumulate row-sparse: each call records only
+the rows it read and their summed gradients, and backward scatters a
+node's records into one dense buffer when the replay reaches that node.
+A lookup into a large table therefore costs work in proportion to the
+rows it touched, not to the table. After `backward()` every `grad` is a
+plain dense ndarray of the node's shape.
+
 The engine is deliberately small: 0/1/2-d arrays, no broadcasting (equal
 shapes are enforced where the contract says so), single-threaded per
 graph. Tensors are immutable values once built; separate graphs can live
@@ -42,11 +49,12 @@ class Tensor:
     from their parents.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_rows")
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None):
         self.data = _asarray(data)
         self.grad = None
+        self._rows = None  # pending (rows, values) records, see _accumulate_rows
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._vjp = _vjp
@@ -96,8 +104,12 @@ class Tensor:
                 stack.pop()
         for node in topo:
             node.grad = None
+            node._rows = None
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
+            # every consumer of `node` has fired by now, so its records are complete
+            if node._rows is not None:
+                _flush_rows(node)
             if node._vjp is not None:
                 node._vjp(node.grad)
 
@@ -120,7 +132,43 @@ class Tensor:
 
 def _accumulate(t, g):
     if t.requires_grad:
+        if t._rows is not None:
+            _flush_rows(t)
         t.grad = g if t.grad is None else t.grad + g
+
+
+def _accumulate_rows(t, rows, values):
+    """Add a gradient that is zero outside `rows` (no row twice).
+
+    Equal, bit for bit, to `_accumulate` of the array that scatter-adds
+    `values` into zeros. While `t` has no dense gradient the record is
+    kept as is; `_flush_rows` adds the records row by row into one zero
+    buffer. Every buffer entry is a sum begun at +0.0, so it is never
+    -0.0: the `+ 0.0` that dense accumulation adds on untouched rows
+    would change nothing, and adding a -0.0 value gives the same bits as
+    adding the +0.0 the scatter turns it into. After a dense
+    contribution, the record is scattered densely instead, because that
+    `+ 0.0` turns a -0.0 entry of the dense gradient into +0.0.
+    """
+    if t.grad is None:
+        if t._rows is None:
+            t._rows = []
+        t._rows.append((rows, values))
+    else:
+        _accumulate(t, _scatter_rows(t.shape, [(rows, values)]))
+
+
+def _scatter_rows(shape, records):
+    out = np.zeros(shape)
+    for rows, values in records:
+        out[rows] += values
+    return out
+
+
+def _flush_rows(t):
+    """Turn `t`'s pending row records into its dense gradient."""
+    records, t._rows = t._rows, None
+    t.grad = _scatter_rows(t.shape, records)
 
 
 def constant(data):
@@ -399,15 +447,31 @@ def max_along(x, axis):
 
 
 def take_rows(x, indices):
-    """Gather rows of a 2-d tensor; gradient scatter-adds back."""
+    """Gather rows of a 2-d tensor; gradient scatter-adds back.
+
+    The gradient is accumulated row-sparse: rows read more than once
+    have their incoming gradients summed in occurrence order, and only
+    the unique rows and those sums are recorded on `x`. `x.grad` is
+    still dense after `backward()`, equal bit for bit to scatter-adding
+    every call's gradient into a zero table.
+    """
     if x.ndim != 2:
         raise ShapeError(f"take_rows expects 2-d, got {x.shape}")
     idx = np.asarray(indices, dtype=np.intp)
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        _accumulate(x, gx)
+        rows = idx % x.shape[0]  # in-range negative indices name the rows they read
+        # slot of each row, in first-occurrence order; a dict beats np.unique
+        # on the short index lists of sentences and pooled rows
+        slot = {}
+        inverse = [slot.setdefault(i, len(slot)) for i in rows.tolist()]
+        if len(slot) == len(inverse):
+            values = g
+        else:
+            rows = np.fromiter(slot, dtype=np.intp, count=len(slot))
+            values = np.zeros((rows.size, x.shape[1]))
+            np.add.at(values, inverse, g)
+        _accumulate_rows(x, rows, values)
 
     return _node(x.data[idx], (x,), vjp)
 

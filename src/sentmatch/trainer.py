@@ -58,17 +58,45 @@ def adam_step(params, state_m, state_v, t, cfg):
 
     Tensors without a gradient this step keep their value; their moments
     still decay toward zero, matching the recurrences run with g = 0.
+
+    The step consumes the gradients: each `p.grad` is None afterwards,
+    released before the update allocates. The moment arrays in
+    `state_m` / `state_v` are updated in place, and `p.data` is replaced
+    by a fresh array (never written through), so copies of the moments
+    and references to earlier `p.data` arrays stay valid. Each tensor
+    costs two scratch arrays; the IEEE operations and their order are
+    those of `m = beta1*m + (1-beta1)*g`, `v = beta2*v + ((1-beta2)*g)*g`
+    and `p - (lr*(m/c1)) / (sqrt(v/c2) + eps)`, so results match that
+    expression bit for bit.
     """
+    c1 = 1.0 - cfg.beta1**t
+    c2 = 1.0 - cfg.beta2**t
     for name in sorted(params):
         p = params[name]
         if not p.requires_grad:
             continue
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        state_m[name] = cfg.beta1 * state_m[name] + (1.0 - cfg.beta1) * g
-        state_v[name] = cfg.beta2 * state_v[name] + (1.0 - cfg.beta2) * g * g
-        m_hat = state_m[name] / (1.0 - cfg.beta1**t)
-        v_hat = state_v[name] / (1.0 - cfg.beta2**t)
-        p.data = p.data - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        g, m, v = p.grad, state_m[name], state_v[name]
+        scratch = np.empty_like(m)
+        m *= cfg.beta1
+        v *= cfg.beta2
+        if g is None:
+            # (1-beta)*0 is +0.0; adding it still maps -0.0 to +0.0
+            m += 0.0
+            v += 0.0
+        else:
+            np.multiply(g, 1.0 - cfg.beta1, out=scratch)
+            m += scratch
+            np.multiply(g, 1.0 - cfg.beta2, out=scratch)
+            scratch *= g
+            v += scratch
+            g = p.grad = None
+        denom = np.divide(v, c2, out=scratch)
+        np.sqrt(denom, out=denom)
+        denom += cfg.adam_eps
+        step = np.divide(m, c1, out=np.empty_like(m))
+        step *= cfg.lr
+        step /= denom
+        p.data = np.subtract(p.data, step, out=step)
 
 
 def clip_gradients(params, max_norm):
@@ -141,8 +169,6 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
             step_iter = _ranking_steps(cfg, train_pairs, vocab, spec, epoch)
         losses = []
         for batch_idx, (batch, neg) in enumerate(step_iter):
-            for p in params.values():
-                p.grad = None
             if spec.kind == "classify":
                 loss = _classification_loss(model, batch, train=True, rng=drop_rng)
             else:
@@ -233,9 +259,9 @@ def evaluate_checkpoint(ck, pairs, provider=None):
 
 
 def _snapshot(model, m_state, v_state, adam_t, epoch, vocab, master_rng, history):
-    params = {
-        name: T.Tensor(t.data.copy(), requires_grad=t.requires_grad) for name, t in model.params.items()
-    }
+    # adam_step replaces parameter arrays instead of writing through them, so
+    # the snapshot can share them; the moments change in place and are copied
+    params = {name: T.Tensor(t.data, requires_grad=t.requires_grad) for name, t in model.params.items()}
     return Checkpoint(
         params=params,
         adam_m={n: a.copy() for n, a in m_state.items()},

@@ -209,3 +209,30 @@ def adam_scalar(grads, lr, beta1, beta2, eps, x0=0.0):
         v_hat = v / (1.0 - beta2**t)
         x -= lr * m_hat / (math.sqrt(v_hat) + eps)
     return x, m, v
+
+
+def adam_dense(x, m, v, g, t, lr, beta1, beta2, eps):
+    """One dense Adam step in whole-array expressions; returns new (x, m, v).
+
+    `g` None stands for a zero gradient. This is the engine's original
+    expression, kept as the reference its in-place form must match bit
+    for bit.
+    """
+    if g is None:
+        g = np.zeros_like(x)
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return x - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def take_rows_dense_grad(n_rows, idx, g):
+    """Gradient of a row gather w.r.t. an n_rows-row table, as a dense array.
+
+    Scatter-adds every incoming row into a zero table in occurrence
+    order: the engine's original take_rows vector-Jacobian product.
+    """
+    gx = np.zeros((n_rows, g.shape[1]))
+    np.add.at(gx, np.asarray(idx, dtype=np.intp), g)
+    return gx

@@ -47,6 +47,16 @@ class TestTrainCommand:
         code = main(["train", "--train", str(train_path), "--out", str(tmp_path / "x"), "--only_h2p", "1", "--only_p2h", "1", *TINY])
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [("--batch_size", "0"), ("--lr", "nan")])
+    def test_out_of_range_value_is_a_usage_error(self, corpus, tmp_path, capsys, flag, value):
+        train_path, _ = corpus
+        out = tmp_path / "x"
+        code = main(["train", "--train", str(train_path), "--out", str(out), "--quiet", *TINY, flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag[2:] in err
+        assert not (out / "checkpoint.bin").exists()
+
     def test_unknown_config_key_is_a_usage_error(self, corpus, tmp_path):
         train_path, _ = corpus
         cfg_file = tmp_path / "bad.cfg"

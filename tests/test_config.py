@@ -36,6 +36,28 @@ class TestValidation:
         with pytest.raises(ConfigError):
             TrainConfig(lr=0.0).validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr", float("nan")),
+            ("lr", float("inf")),
+            ("batch_size", 0),
+            ("epochs", 0),
+            ("grad_clip", -1.0),
+            ("grad_clip", float("nan")),
+            ("grad_clip", float("inf")),
+            ("max_len", -1),
+            ("contextual_dim", -1),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
+
+    def test_zero_grad_clip_and_max_len_accepted(self):
+        # 0 disables clipping and selects the task's length cap
+        TrainConfig(grad_clip=0.0, max_len=0, contextual_dim=0).validate()
+
     def test_dropout_range(self):
         with pytest.raises(ConfigError):
             TrainConfig(dropout=1.0).validate()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -230,3 +232,80 @@ class TestGradCheckHarness:
         bad = T.constant([np.nan, 1.0, 1.0])
         with pytest.raises(NumericalError, match="coordinate"):
             T.grad_check(lambda ins: T.mul(ins[0], bad), [x])
+
+
+def dense_take_rows(x, indices):
+    """take_rows with the original dense scatter-add backward (reference)."""
+    idx = np.asarray(indices, dtype=np.intp)
+
+    def vjp(g):
+        T._accumulate(x, oracles.take_rows_dense_grad(x.shape[0], idx, g))
+
+    return T._node(x.data[idx], (x,), vjp)
+
+
+# rows 3 and 7 repeat inside one sentence and across sentences; -1 is row 9
+SENTENCES = [[3, 1, 3, 7], [7, 7, 0], [3, 9, -1, 3, 5], [2], [7, 3, 3, 3, 3], [4, 8, 6]]
+
+
+def _gather_graph(gather, table, w, mix_dense):
+    """Loss over several lookups plus the interior nodes it reads.
+
+    With `mix_dense` each hidden node is also read by a gather, before or
+    after a dense op depending on the sentence, as the heads do.
+    """
+    loss, hidden = None, []
+    for i, ids in enumerate(SENTENCES):
+        h = T.tanh(T.matmul(gather(table, ids), w))
+        hidden.append(h)
+        if mix_dense:
+            reads = [gather(h, [0, len(ids) - 1, 0]), T.relu(h)]
+            h = T.concat(reads[:: 1 if i % 2 else -1], axis=0)
+        part = T.sum_all(T.tanh(T.matmul(h, w)))
+        loss = part if loss is None else T.add(loss, part)
+    return loss, hidden
+
+
+class TestRowSparseGather:
+    @pytest.mark.parametrize("mix_dense", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradient_is_bitwise_the_dense_scatter(self, seed, mix_dense):
+        rng = np.random.default_rng(seed)
+        table_data, w_data = rng.normal(size=(10, 4)), rng.normal(size=(4, 4))
+        grads = []
+        for gather in (T.take_rows, dense_take_rows):
+            table, w = T.parameter(table_data.copy()), T.parameter(w_data.copy())
+            loss, hidden = _gather_graph(gather, table, w, mix_dense)
+            loss.backward()
+            grads.append([table.grad, w.grad] + [h.grad for h in hidden])
+        sparse, dense = grads
+        assert type(sparse[0]) is np.ndarray and sparse[0].shape == table_data.shape
+        for got, want in zip(sparse, dense):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ids", [[1, 4, 1], [4, 1, 5]])
+    def test_negative_zero_gradient_lands_as_positive_zero(self, rng, ids):
+        # the dense scatter adds onto +0.0, which turns -0.0 into +0.0
+        weights = T.constant(np.array([[-0.0, 1.0, 0.0]] * 3))
+        grads = []
+        for gather in (T.take_rows, dense_take_rows):
+            table = T.parameter(rng.normal(size=(6, 3)))
+            T.sum_all(T.mul(gather(table, ids), weights)).backward()
+            grads.append(table.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
+        assert not np.signbit(grads[0]).any()
+
+    def test_backward_memory_does_not_scale_with_lookups(self, rng):
+        table = T.parameter(rng.normal(size=(20000, 32)))
+        lookups = [T.take_rows(table, rng.integers(0, 20000, size=12)) for _ in range(40)]
+        loss = T.sum_all(T.concat(lookups, axis=0))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert type(table.grad) is np.ndarray
+        # one dense gradient buffer plus small per-lookup records
+        assert peak < 1.5 * table.data.nbytes, f"backward peaked at {peak / table.data.nbytes:.2f} table sizes"

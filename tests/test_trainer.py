@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from sentmatch.data import RawPair
 from sentmatch.errors import NumericalError
 from sentmatch.metrics import map_mrr
 from sentmatch.synthetic import make_classification_pairs, make_ranking_groups
-from sentmatch.trainer import adam_step, clip_gradients, evaluate, evaluate_checkpoint, run_ablations, train
+from sentmatch.trainer import _snapshot, adam_step, clip_gradients, evaluate, evaluate_checkpoint, run_ablations, train
 
 import oracles
+from test_tensor import dense_take_rows
 
 LABELS = {"entailment": 0, "contradiction": 1, "neutral": 2}
 
@@ -68,6 +71,52 @@ class TestAdam:
         assert abs(m["w"][0, 0] - om) <= 1e-12
         assert abs(v["w"][0, 0] - ov) <= 1e-12
 
+    def test_in_place_update_is_bitwise_the_dense_expression(self, rng):
+        cfg = _tiny_cfg(lr=0.01)
+        shapes = {"a": (3, 4), "b": (5,), "c": (2, 2, 3)}
+        params = {n: T.parameter(rng.normal(size=s)) for n, s in shapes.items()}
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        ref = {n: (p.data.copy(), np.zeros(shapes[n]), np.zeros(shapes[n])) for n, p in params.items()}
+        for t in range(1, 8):
+            for n, p in params.items():
+                p.grad = None if (t + len(n)) % 3 == 0 else rng.normal(size=shapes[n])
+                if p.grad is not None:
+                    p.grad.reshape(-1)[:2] = [0.0, -0.0]
+                ref[n] = oracles.adam_dense(*ref[n], p.grad, t, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            adam_step(params, m, v, t=t, cfg=cfg)
+            for n, p in params.items():
+                assert p.grad is None, "the step consumes the gradient"
+                want_x, want_m, want_v = ref[n]
+                assert p.data.tobytes() == want_x.tobytes(), f"{n} step {t}"
+                assert m[n].tobytes() == want_m.tobytes() and v[n].tobytes() == want_v.tobytes(), f"{n} step {t}"
+
+    def test_snapshot_survives_later_in_place_steps(self, rng):
+        pairs = _classify_pairs(12, seed=15)
+        result = train(_tiny_cfg(epochs=1), pairs)
+        model, cfg = result.model, result.model.cfg
+        m = {n: np.zeros_like(t.data) for n, t in model.params.items() if t.requires_grad}
+        v = {n: np.zeros_like(t.data) for n, t in model.params.items() if t.requires_grad}
+
+        def step(t):
+            for p in model.params.values():
+                p.grad = rng.normal(size=p.shape)
+            adam_step(model.params, m, v, t=t, cfg=cfg)
+
+        step(1)
+        ck = _snapshot(model, m, v, 1, 0, result.checkpoint.vocab, np.random.default_rng(0), [])
+
+        def saved_bytes():
+            arrays = [t.data for t in ck.params.values()] + list(ck.adam_m.values()) + list(ck.adam_v.values())
+            return [a.tobytes() for a in arrays]
+
+        before = saved_bytes()
+        live = model.params["embed.static"].data.tobytes()
+        for t in (2, 3):
+            step(t)
+        assert model.params["embed.static"].data.tobytes() != live
+        assert saved_bytes() == before
+
     def test_clip_rescales_to_maximum_norm(self):
         p1 = T.parameter(np.zeros(3))
         p2 = T.parameter(np.zeros(4))
@@ -98,6 +147,25 @@ class TestTraining:
             runs.append((result.history, path.read_bytes()))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
+
+    @pytest.mark.parametrize("task", ["snli", "wikiqa"])
+    def test_row_sparse_gather_writes_the_dense_scatter_checkpoint(self, task, monkeypatch, tmp_path):
+        from sentmatch.embedding import StubContextualProvider
+
+        if task == "snli":
+            pairs, dev = _classify_pairs(40, seed=16), _classify_pairs(12, seed=17)
+            cfg = _tiny_cfg(contextual_dim=4)
+        else:
+            pairs, dev = _ranking_pairs(4, seed=18), _ranking_pairs(2, seed=19)
+            cfg = _tiny_cfg(task="wikiqa", contextual_dim=4, batch_size=4)
+        blobs = []
+        for gather in (T.take_rows, dense_take_rows):
+            monkeypatch.setattr(T, "take_rows", gather)
+            result = train(cfg, pairs, dev_pairs=dev, provider=StubContextualProvider(4, seed=0))
+            path = tmp_path / f"{gather.__name__}.bin"
+            save_checkpoint(path, result.checkpoint)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_nan_loss_aborts_with_diagnostics(self, monkeypatch):
         pairs = _classify_pairs(12, seed=5)
@@ -166,6 +234,20 @@ class TestCheckpoint:
         save_checkpoint(p1, result.checkpoint)
         save_checkpoint(p2, load_checkpoint(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_leaves_previous_file_intact(self, tmp_path):
+        pairs = _classify_pairs(12, seed=20)
+        ck = train(_tiny_cfg(epochs=1), pairs).checkpoint
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, ck)
+        good = path.read_bytes()
+        # the last tensor written cannot be read as float64: the write fails partway
+        name = sorted(ck.adam_v)[-1]
+        broken = dataclasses.replace(ck, adam_v={**ck.adam_v, name: np.full(ck.adam_v[name].shape, "x", dtype=object)})
+        with pytest.raises(ValueError):
+            save_checkpoint(path, broken)
+        assert path.read_bytes() == good
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]
 
     def test_roundtrip_preserves_evaluation_bitwise(self, tmp_path):
         pairs = _classify_pairs(15, seed=12)
