@@ -9,11 +9,13 @@ Layout (little-endian):
     data      for each manifest tensor entry, in order: raw float64 values
 
 The manifest records the epoch, the resolved config, the vocabulary, the
-optimizer step count, the RNG state, the metric history, and one entry
-per tensor: name, shape, kind (param / adam_m / adam_v) and whether the
-parameter is trainable. Saving the result of a load reproduces the file
-byte for byte. Saving is atomic: a file at the target path is replaced
-only by a complete new one.
+optimizer step count, the metric history, and one entry per tensor:
+name, shape, kind (param / adam_m / adam_v) and whether the parameter is
+trainable. Saving the result of a load reproduces the file byte for
+byte. Saving is atomic: a file at the target path is replaced only by a
+complete new one. A file that is cut short, or whose manifest is not
+UTF-8 JSON with every expected key and a valid config, raises ParseError
+naming the file.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig
-from .embedding import Vocab
-from .errors import ParseError
+from .embedding import Vocab, _read_exact
+from .errors import ConfigError, ParseError
 
 MAGIC = b"SMCK"
 VERSION = 1
@@ -44,7 +46,6 @@ class Checkpoint:
     epoch: int
     config: TrainConfig
     vocab: Vocab
-    rng_state: dict | None = None
     history: list = field(default_factory=list)
 
 
@@ -67,7 +68,6 @@ def _manifest(ck):
         "config": ck.config.to_dict(),
         "epoch": ck.epoch,
         "history": ck.history,
-        "rng_state": ck.rng_state,
         "tensors": tensors,
         "vocab": ck.vocab.id_to_token,
     }
@@ -100,26 +100,36 @@ def save_checkpoint(path, ck):
 
 def load_checkpoint(path):
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(4) != MAGIC:
             raise ParseError(f"{path}: not a checkpoint file")
-        version, manifest_len = struct.unpack("<IQ", fh.read(12))
+        version, manifest_len = struct.unpack("<IQ", _read_exact(fh, 12, path, size))
         if version != VERSION:
             raise ParseError(f"{path}: unsupported checkpoint version {version}")
-        manifest = json.loads(fh.read(manifest_len).decode("utf-8"))
-        params, adam_m, adam_v = {}, {}, {}
-        for entry in manifest["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ParseError(f"{path}: truncated tensor {entry['name']}")
-            arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            if entry["kind"] == "param":
-                params[entry["name"]] = T.Tensor(arr, requires_grad=entry["trainable"])
-            elif entry["kind"] == "adam_m":
-                adam_m[entry["name"]] = arr
-            else:
-                adam_v[entry["name"]] = arr
+        try:
+            manifest = json.loads(_read_exact(fh, manifest_len, path, size).decode("utf-8"))
+        except ValueError as exc:
+            raise ParseError(f"{path}: manifest is not UTF-8 JSON ({exc})") from None
+        try:
+            return _from_manifest(fh, path, size, manifest)
+        except KeyError as exc:
+            raise ParseError(f"{path}: manifest has no key {exc}") from None
+        except (TypeError, ValueError, ConfigError) as exc:
+            raise ParseError(f"{path}: malformed manifest ({exc})") from None
+
+
+def _from_manifest(fh, path, size, manifest):
+    params, adam_m, adam_v = {}, {}, {}
+    for entry in manifest["tensors"]:
+        shape = tuple(entry["shape"])
+        count = int(np.prod(shape)) if shape else 1
+        arr = np.frombuffer(_read_exact(fh, count * 8, path, size), dtype="<f8").reshape(shape).copy()
+        if entry["kind"] == "param":
+            params[entry["name"]] = T.Tensor(arr, requires_grad=entry["trainable"])
+        elif entry["kind"] == "adam_m":
+            adam_m[entry["name"]] = arr
+        else:
+            adam_v[entry["name"]] = arr
     tokens = manifest["vocab"]
     vocab = Vocab(tokens[2:])
     if vocab.id_to_token != tokens:
@@ -132,6 +142,5 @@ def load_checkpoint(path):
         epoch=manifest["epoch"],
         config=TrainConfig.from_dict(manifest["config"]),
         vocab=vocab,
-        rng_state=manifest["rng_state"],
         history=manifest["history"],
     )

@@ -69,23 +69,27 @@ def read_dataset(path, task):
     spec = task_spec(task) if isinstance(task, str) else task
     label_ids = {lab: i for i, lab in enumerate(spec.labels)}
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) < 3:
-                raise DataError(f"{path}:{line_no}: expected at least 3 tab-separated columns, got {len(cols)}")
-            label, sent_a, sent_b = cols[0], cols[1], cols[2]
-            if label == "-":
-                continue
-            if label not in label_ids:
-                raise DataError(f"{path}:{line_no}: unknown label {label!r} for task {spec.name}")
-            group_id = cols[3] if len(cols) > 3 else None
-            if spec.kind == "rank" and group_id is None:
-                raise DataError(f"{path}:{line_no}: ranking task requires a group id column")
-            pairs.append(RawPair(label_ids[label], sent_a, sent_b, group_id, line_no))
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()
+    for line_no, raw in enumerate(raw_lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}:{line_no}: not valid UTF-8 (byte {exc.start + 1} of the line)") from None
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) < 3:
+            raise DataError(f"{path}:{line_no}: expected at least 3 tab-separated columns, got {len(cols)}")
+        label, sent_a, sent_b = cols[0], cols[1], cols[2]
+        if label == "-":
+            continue
+        if label not in label_ids:
+            raise DataError(f"{path}:{line_no}: unknown label {label!r} for task {spec.name}")
+        group_id = cols[3] if len(cols) > 3 else None
+        if spec.kind == "rank" and group_id is None:
+            raise DataError(f"{path}:{line_no}: ranking task requires a group id column")
+        pairs.append(RawPair(label_ids[label], sent_a, sent_b, group_id, line_no))
     return pairs
 
 

@@ -24,6 +24,7 @@ same way addresses the same record.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -177,75 +178,35 @@ def write_contextual_cache(path, dim, records):
             fh.write(arr.tobytes())
 
 
+def _read_exact(fh, count, path, size):
+    """The next `count` bytes of `fh`, a file of `size` bytes; too few raise ParseError.
+
+    A count beyond the whole file is refused before reading, so a corrupt
+    length field cannot ask for an arbitrarily large buffer.
+    """
+    raw = fh.read(count) if count <= size else b""
+    if len(raw) != count:
+        raise ParseError(f"{path}: truncated: {count} bytes needed at byte {fh.tell() - len(raw)} of {size}")
+    return raw
+
+
 def read_contextual_cache(path):
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != CACHE_MAGIC:
             raise ParseError(f"{path}: not a contextual cache (bad magic {magic!r})")
-        version, dim, count = struct.unpack("<IIQ", fh.read(16))
+        version, dim, count = struct.unpack("<IIQ", _read_exact(fh, 16, path, size))
         if version != CACHE_VERSION:
             raise ParseError(f"{path}: unsupported cache version {version}")
         records = {}
-        for _ in range(count):
-            (id_len,) = struct.unpack("<I", fh.read(4))
-            sid = fh.read(id_len).decode("utf-8")
-            (n_rows,) = struct.unpack("<I", fh.read(4))
-            raw = fh.read(n_rows * dim * 4)
-            if len(raw) != n_rows * dim * 4:
-                raise ParseError(f"{path}: truncated record for {sid}")
+        for index in range(count):
+            (id_len,) = struct.unpack("<I", _read_exact(fh, 4, path, size))
+            try:
+                sid = _read_exact(fh, id_len, path, size).decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}: id of record {index} is not UTF-8") from None
+            (n_rows,) = struct.unpack("<I", _read_exact(fh, 4, path, size))
+            raw = _read_exact(fh, n_rows * dim * 4, path, size)
             records[sid] = np.frombuffer(raw, dtype="<f4").reshape(n_rows, dim).copy()
     return dim, records
-
-
-class EmbeddingTable:
-    """Static matrix plus an optional contextual provider.
-
-    `static` is the |V| x static_dim matrix (a plain array here; the
-    model wraps it in a trainable tensor). `provider` must respond to
-    `.vectors(sid, tokens)` when contextual_dim > 0.
-    """
-
-    def __init__(self, vocab, static, contextual_dim=0, provider=None):
-        if static.shape[0] != len(vocab):
-            raise DataError(f"static matrix rows {static.shape[0]} != vocab size {len(vocab)}")
-        if contextual_dim > 0 and provider is None:
-            raise DataError("contextual_dim > 0 requires a contextual provider")
-        self.vocab = vocab
-        self.static = static
-        self.static_dim = static.shape[1]
-        self.contextual_dim = contextual_dim
-        self.provider = provider
-
-    @property
-    def width(self):
-        return self.static_dim + self.contextual_dim
-
-    def contextual_rows(self, sid, tokens, padded_len):
-        """Contextual block for one sentence, zero-padded to `padded_len`."""
-        out = np.zeros((padded_len, self.contextual_dim))
-        rows = self.provider.vectors(sid, tokens)
-        out[: len(tokens)] = np.asarray(rows, dtype=np.float64)
-        return out
-
-
-def embed_pair(pair, table, static_matrix=None):
-    """Raw (non-graph) embedding of both sentences of a pair.
-
-    Row t is the concatenation of the static vector of token t and its
-    contextual vector; padded rows are all zero. `static_matrix` lets the
-    caller substitute the current trainable values for the table's
-    initial ones. The model builds the same thing inside the graph; this
-    version exists for inspection and tests.
-    """
-    static = table.static if static_matrix is None else static_matrix
-    out = []
-    for ids, tokens, sid in (
-        (pair.ids_a, pair.tokens_a, pair.sid_a),
-        (pair.ids_b, pair.tokens_b, pair.sid_b),
-    ):
-        block = static[np.asarray(ids, dtype=np.intp)]
-        if table.contextual_dim > 0:
-            ctx = table.contextual_rows(sid, tokens, len(ids))
-            block = np.concatenate([block, ctx], axis=1)
-        out.append(block)
-    return out[0], out[1]

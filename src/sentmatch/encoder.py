@@ -129,28 +129,18 @@ def encode_pair(
     train=False,
     dropout_rate=0.0,
     rng=None,
-    trace=None,
 ):
     """Full encoder stage for a pair; returns the two fused encodings."""
-
-    def note(tag):
-        if trace is not None:
-            trace.append(tag)
-
     c = encode_context(x, mask_a, params, use_self_attention, train, dropout_rate, rng)
     q = encode_context(y, mask_b, params, use_self_attention, train, dropout_rate, rng)
-    note("encode_context")
     if no_alignment:
         c_aligned, q_aligned = c, q
     else:
         c_aligned, q_aligned, _ = align(c, q, mask_a, mask_b, params["enc.w_c"], params["enc.w_q"])
-        note("align")
     if no_fusion:
         h = T.matmul(T.concat([c, c_aligned], axis=1), params["enc.w_merge"])
         p = T.matmul(T.concat([q, q_aligned], axis=1), params["enc.w_merge"])
-        note("concat_project")
     else:
         h = fuse(c, c_aligned, params["enc.w1"], params["enc.w2"])
         p = fuse(q, q_aligned, params["enc.w1"], params["enc.w2"])
-        note("fuse")
     return h, p

@@ -72,7 +72,6 @@ def interact(
     only_h2p=False,
     only_p2h=False,
     no_self_attention=False,
-    trace=None,
 ):
     """Full interaction stage; returns the matching representation.
 
@@ -80,28 +79,17 @@ def interact(
     per-position mixture block; both keep the graph shape intact so
     heads are unaffected.
     """
-
-    def note(tag):
-        if trace is not None:
-            trace.append(tag)
-
     s = similarity(h, p, params["inter.w_h"], params["inter.w_p"])
-    note("similarity")
     n, d = h.shape
     if only_p2h:
         q_att = T.constant(np.zeros((n, d)))
     else:
         q_att = h2p_attention(s, p, mask_b)
-        note("h2p_attention")
     if only_h2p:
         c_att = T.constant(np.zeros((n, d)))
     else:
         _, c_att = p2h_attention(s, h, mask_a, mask_b)
-        note("p2h_attention")
     g = merge(h, q_att, c_att)
-    note("merge")
     if no_self_attention:
         return g
-    z = self_attend(g, mask_a)
-    note("self_attend")
-    return z
+    return self_attend(g, mask_a)

@@ -1,9 +1,7 @@
 """Parameter construction and the full per-pair forward pass.
 
 Weights live in one flat name->Tensor dict so the optimizer and the
-checkpoint format can treat them uniformly. The forward pass can record
-which architectural blocks ran into a caller-supplied trace list; the
-structural tests use that to audit ablation variants.
+checkpoint format can treat them uniformly.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ class MatchModel:
         if cfg.effective_contextual_dim > 0 and provider is None:
             raise CacheMissError("config asks for contextual vectors but no provider was given")
 
-    def embed_sentence(self, ids, tokens, sid, mask, train=False, rng=None, trace=None):
+    def embed_sentence(self, ids, tokens, sid, mask, train=False, rng=None):
         """Graph node for one sentence's embedding matrix.
 
         Static rows come from the trainable table (so gradients reach
@@ -103,15 +101,13 @@ class MatchModel:
         x = T.mul(x, row_mask(mask, x.shape[1]))
         if train and self.cfg.dropout > 0.0:
             x = T.dropout(x, self.cfg.dropout, rng)
-        if trace is not None:
-            trace.append("embed")
         return x
 
-    def forward_pair(self, pair, train=False, rng=None, trace=None):
+    def forward_pair(self, pair, train=False, rng=None):
         """Probability row (classification) or score (ranking) for a pair."""
         cfg = self.cfg
-        x = self.embed_sentence(pair.ids_a, pair.tokens_a, pair.sid_a, pair.mask_a, train, rng, trace)
-        y = self.embed_sentence(pair.ids_b, pair.tokens_b, pair.sid_b, pair.mask_b, train, rng, None)
+        x = self.embed_sentence(pair.ids_a, pair.tokens_a, pair.sid_a, pair.mask_a, train, rng)
+        y = self.embed_sentence(pair.ids_b, pair.tokens_b, pair.sid_b, pair.mask_b, train, rng)
         h, p = encode_pair(
             x,
             y,
@@ -124,7 +120,6 @@ class MatchModel:
             train=train,
             dropout_rate=cfg.dropout,
             rng=rng,
-            trace=trace,
         )
         z = interact(
             h,
@@ -135,16 +130,10 @@ class MatchModel:
             only_h2p=cfg.only_h2p,
             only_p2h=cfg.only_p2h,
             no_self_attention=cfg.no_self_attention,
-            trace=trace,
         )
         pool = pool_splice if cfg.pool == "splice" else pool_meanmax
         pooled = pool(z, pair.mask_a)
-        if trace is not None:
-            trace.append("pool")
-        out = head_forward(pooled, self.params["head.w"], self.params["head.b"], self.task.kind)
-        if trace is not None:
-            trace.append("head")
-        return out
+        return head_forward(pooled, self.params["head.w"], self.params["head.b"], self.task.kind)
 
     def predict_class(self, pair):
         probs = self.forward_pair(pair)

@@ -19,7 +19,7 @@ from .checkpoint import Checkpoint
 from .config import TrainConfig
 from .data import build_batches, build_vocab, group_by_question, make_ranking_triples, task_spec, tokenize_pairs
 from .embedding import random_static_vectors
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 from .heads import cross_entropy, hinge_loss
 from .metrics import accuracy, map_mrr
 from .model import MatchModel, init_params, trainable
@@ -153,7 +153,6 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
     m_state = {n: np.zeros_like(t.data) for n, t in params.items() if t.requires_grad}
     v_state = {n: np.zeros_like(t.data) for n, t in params.items() if t.requires_grad}
     adam_t = 0
-    master_rng = _seed_rng(cfg.seed, 1)
 
     history = []
     best_metric, best_epoch, best_ck = -np.inf, -1, None
@@ -167,6 +166,9 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
             step_iter = [(b, None) for b in batches]
         else:
             step_iter = _ranking_steps(cfg, train_pairs, vocab, spec, epoch)
+        if not step_iter:
+            unit = "pair with two non-empty sentences" if spec.kind == "classify" else "question with a positive and a negative"
+            raise DataError(f"no training step: the {len(train_pairs)} training records hold no {unit}")
         losses = []
         for batch_idx, (batch, neg) in enumerate(step_iter):
             if spec.kind == "classify":
@@ -186,7 +188,7 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
         # wall time stays out of the record: history must be reproducible bitwise
         record = {
             "epoch": epoch,
-            "train_loss": float(np.mean(losses)) if losses else 0.0,
+            "train_loss": float(np.mean(losses)),
         }
         if dev_pairs is not None:
             report = evaluate(model, dev_pairs, vocab)
@@ -199,13 +201,13 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
             log("epoch {epoch}: loss={train_loss:.4f}".format(**record) + (f" dev={metric:.4f}" if dev_pairs is not None else ""))
         if metric > best_metric:
             best_metric, best_epoch, since_best = metric, epoch, 0
-            best_ck = _snapshot(model, m_state, v_state, adam_t, epoch, vocab, master_rng, history)
+            best_ck = _snapshot(model, m_state, v_state, adam_t, epoch, vocab, history)
         else:
             since_best += 1
             if cfg.early_stop_patience > 0 and since_best >= cfg.early_stop_patience:
                 break
     if best_ck is None:
-        best_ck = _snapshot(model, m_state, v_state, adam_t, cfg.epochs - 1, vocab, master_rng, history)
+        best_ck = _snapshot(model, m_state, v_state, adam_t, cfg.epochs - 1, vocab, history)
     best_ck.history = history
     return TrainResult(history, best_epoch, best_metric, best_ck, model)
 
@@ -258,7 +260,7 @@ def evaluate_checkpoint(ck, pairs, provider=None):
     return evaluate(model, pairs, ck.vocab)
 
 
-def _snapshot(model, m_state, v_state, adam_t, epoch, vocab, master_rng, history):
+def _snapshot(model, m_state, v_state, adam_t, epoch, vocab, history):
     # adam_step replaces parameter arrays instead of writing through them, so
     # the snapshot can share them; the moments change in place and are copied
     params = {name: T.Tensor(t.data, requires_grad=t.requires_grad) for name, t in model.params.items()}
@@ -270,19 +272,8 @@ def _snapshot(model, m_state, v_state, adam_t, epoch, vocab, master_rng, history
         epoch=epoch,
         config=model.cfg,
         vocab=vocab,
-        rng_state=_jsonable_rng_state(master_rng),
         history=list(history),
     )
-
-
-def _jsonable_rng_state(rng):
-    state = rng.bit_generator.state
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": {k: int(v) for k, v in state["state"].items()},
-        "has_uint32": int(state.get("has_uint32", 0)),
-        "uinteger": int(state.get("uinteger", 0)),
-    }
 
 
 ABLATION_ORDER = (

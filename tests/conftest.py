@@ -18,3 +18,28 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Record which functions ran, in the order they returned.
+
+    `spy(owner, attr, tag=None)` replaces `owner.attr` for the test with a
+    wrapper that appends `tag` (default `attr`) to `spy.calls` each time
+    the call returns. Swap the binding the caller looks up: the module a
+    function is called from, or the class of a method.
+    """
+    calls = []
+
+    def watch(owner, attr, tag=None):
+        func = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            result = func(*args, **kwargs)
+            calls.append(tag or attr)
+            return result
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    watch.calls = calls
+    return watch

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from sentmatch.data import tokenize_pairs, RawPair
+from sentmatch.config import TrainConfig
+from sentmatch.data import RawPair, build_batches, tokenize_pairs
 from sentmatch.embedding import (
     PAD,
     UNK,
     CacheContextualProvider,
-    EmbeddingTable,
     StubContextualProvider,
     Vocab,
-    embed_pair,
     load_static_vectors,
     random_static_vectors,
     read_contextual_cache,
@@ -17,6 +16,7 @@ from sentmatch.embedding import (
     write_contextual_cache,
 )
 from sentmatch.errors import CacheMissError, DataError, ParseError
+from sentmatch.model import MatchModel, init_params
 
 
 class TestVocab:
@@ -127,45 +127,68 @@ def _pair(sent_a, sent_b, vocab, cap=16):
     return pairs[0]
 
 
+def _model(static, contextual_dim=0, provider=None):
+    cfg = TrainConfig(static_dim=static.shape[1], contextual_dim=contextual_dim, hidden=4)
+    return MatchModel(cfg, init_params(cfg, static, seed=0), provider=provider)
+
+
+def _embed(model, pair):
+    """Both sentences' embedding matrices, as the model's forward builds them."""
+    x = model.embed_sentence(pair.ids_a, pair.tokens_a, pair.sid_a, pair.mask_a)
+    y = model.embed_sentence(pair.ids_b, pair.tokens_b, pair.sid_b, pair.mask_b)
+    return x.data, y.data
+
+
 class TestEmbedPair:
     def test_static_only_width(self):
         vocab = Vocab(["the", "cat", "sat"])
-        table = EmbeddingTable(vocab, random_static_vectors(vocab, 6, seed=0))
-        x, y = embed_pair(_pair("the cat", "sat", vocab), table)
+        x, y = _embed(_model(random_static_vectors(vocab, 6, seed=0)), _pair("the cat", "sat", vocab))
         assert x.shape == (2, 6) and y.shape == (1, 6)
 
     def test_single_known_token_concatenates_both_vectors(self):
         vocab = Vocab(["cat"])
         static = random_static_vectors(vocab, 4, seed=0)
         provider = StubContextualProvider(3, seed=1)
-        table = EmbeddingTable(vocab, static, contextual_dim=3, provider=provider)
         pair = _pair("cat", "cat", vocab)
-        x, _ = embed_pair(pair, table)
+        x, _ = _embed(_model(static, 3, provider), pair)
         assert x.shape == (1, 7)
         np.testing.assert_array_equal(x[0, :4], static[vocab.id_of("cat")])
         np.testing.assert_array_equal(x[0, 4:], provider.vectors(pair.sid_a, ["cat"])[0].astype(np.float64))
 
+    def test_padded_rows_are_zero_and_real_rows_exact(self):
+        vocab = Vocab(["big", "dog", "runs"])
+        static = random_static_vectors(vocab, 4, seed=0)
+        static[PAD] = 1e6  # a pad row that training moved: masking must still zero it
+        provider = StubContextualProvider(3, seed=1)
+        # batched with a longer sentence, "dog" is padded to three rows
+        (batch,), _ = build_batches([RawPair(0, "dog", "big dog runs"), RawPair(0, "big dog runs", "x")], vocab, "snli", batch_size=2)
+        pair = batch.pairs[0]
+        x, _ = _embed(_model(static, 3, provider), pair)
+        assert pair.mask_a.tolist() == [1.0, 0.0, 0.0]
+        np.testing.assert_array_equal(x[0, :4], static[vocab.id_of("dog")])
+        np.testing.assert_array_equal(x[0, 4:], provider.vectors(pair.sid_a, ["dog"])[0].astype(np.float64))
+        np.testing.assert_array_equal(x[1:], np.zeros((2, 7)))
+
     def test_contextual_disabled_matches_static_dim_everywhere(self):
         vocab = Vocab(["big", "dog", "runs"])
-        table = EmbeddingTable(vocab, random_static_vectors(vocab, 5, seed=0))
-        x, y = embed_pair(_pair("big dog runs", "dog runs", vocab), table)
+        x, y = _embed(_model(random_static_vectors(vocab, 5, seed=0)), _pair("big dog runs", "dog runs", vocab))
         assert x.shape[1] == y.shape[1] == 5
 
     def test_lookup_is_pure(self):
         vocab = Vocab(["a", "b"])
-        table = EmbeddingTable(vocab, random_static_vectors(vocab, 4, seed=0), 3, StubContextualProvider(3, 0))
+        model = _model(random_static_vectors(vocab, 4, seed=0), 3, StubContextualProvider(3, 0))
         pair = _pair("a b", "b a", vocab)
-        x1, y1 = embed_pair(pair, table)
-        x2, y2 = embed_pair(pair, table)
+        x1, y1 = _embed(model, pair)
+        x2, y2 = _embed(model, pair)
         assert x1.tobytes() == x2.tobytes() and y1.tobytes() == y2.tobytes()
 
     def test_missing_contextual_entry_raises(self, tmp_path):
         vocab = Vocab(["a"])
         path = tmp_path / "ctx.bin"
         write_contextual_cache(path, 3, [])
-        table = EmbeddingTable(vocab, random_static_vectors(vocab, 4, seed=0), 3, CacheContextualProvider(path))
+        model = _model(random_static_vectors(vocab, 4, seed=0), 3, CacheContextualProvider(path))
         with pytest.raises(CacheMissError):
-            embed_pair(_pair("a", "a", vocab), table)
+            _embed(model, _pair("a", "a", vocab))
 
 
 def test_sentence_id_depends_on_token_sequence():

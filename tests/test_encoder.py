@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sentmatch import encoder
 from sentmatch import tensor as T
 from sentmatch.encoder import align, encode_context, encode_pair, fuse
 
@@ -203,10 +204,10 @@ class TestEncodePair:
         np.testing.assert_allclose(h1.data, h2.data, atol=1e-12)
         np.testing.assert_allclose(p1.data, p2.data, atol=1e-12)
 
-    def test_alignment_disabled_still_runs(self, rng):
+    def test_alignment_disabled_still_runs(self, rng, spy):
         d = 4
         params = _params(rng, d, d_emb=6)
-        trace = []
+        spy(encoder, "align")
         h, p = encode_pair(
             T.constant(rng.normal(size=(3, 6))),
             T.constant(rng.normal(size=(4, 6))),
@@ -214,26 +215,23 @@ class TestEncodePair:
             np.ones(4),
             params,
             no_alignment=True,
-            trace=trace,
         )
         assert h.shape == (3, d) and p.shape == (4, d)
-        assert "align" not in trace
+        assert "align" not in spy.calls
 
-    def test_fusion_disabled_uses_concat_projection(self, rng):
+    def test_fusion_disabled_uses_concat_projection(self, rng, spy):
         d = 4
         params = _params(rng, d, d_emb=6)
-        trace = []
-        h, _ = encode_pair(
-            T.constant(rng.normal(size=(3, 6))),
-            T.constant(rng.normal(size=(4, 6))),
-            np.ones(3),
-            np.ones(4),
-            params,
-            no_fusion=True,
-            trace=trace,
-        )
+        x, y = T.constant(rng.normal(size=(3, 6))), T.constant(rng.normal(size=(4, 6)))
+        mask_a, mask_b = np.ones(3), np.ones(4)
+        spy(encoder, "fuse")
+        h, _ = encode_pair(x, y, mask_a, mask_b, params, no_fusion=True)
         assert h.shape == (3, d)
-        assert "concat_project" in trace and "fuse" not in trace
+        assert "fuse" not in spy.calls
+        c = encode_context(x, mask_a, params)
+        c_aligned, _, _ = align(c, encode_context(y, mask_b, params), mask_a, mask_b, params["enc.w_c"], params["enc.w_q"])
+        concat_project = np.concatenate([c.data, c_aligned.data], axis=1) @ params["enc.w_merge"].data
+        assert h.data.tobytes() == concat_project.tobytes()
 
     def test_pad_perturbation_cannot_touch_unmasked_rows(self, rng):
         d = 4

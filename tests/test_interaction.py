@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
+from sentmatch import interaction
 from sentmatch import tensor as T
 from sentmatch.interaction import h2p_attention, interact, merge, p2h_attention, self_attend, similarity
 
 import oracles
+
+STAGES = ("similarity", "h2p_attention", "p2h_attention", "merge", "self_attend")
+
+
+def _watch_stages(spy):
+    for stage in STAGES:
+        spy(interaction, stage)
+    return spy.calls
 
 
 def _inter_params(rng, d, shared=False):
@@ -151,44 +160,43 @@ class TestSelfAttend:
 
 
 class TestInteract:
-    def test_full_trace_contains_every_block(self, rng):
+    def test_full_trace_contains_every_block(self, rng, spy):
         d = 4
-        trace = []
+        trace = _watch_stages(spy)
         z = interact(
             T.constant(rng.normal(size=(3, d))),
             T.constant(rng.normal(size=(5, d))),
             np.ones(3),
             np.ones(5),
             _inter_params(rng, d),
-            trace=trace,
         )
         assert z.shape == (3, 4 * d)
-        assert trace == ["similarity", "h2p_attention", "p2h_attention", "merge", "self_attend"]
+        assert trace == list(STAGES)
 
-    def test_only_h2p_zeroes_broadcast_block(self, rng):
+    def test_only_h2p_zeroes_broadcast_block(self, rng, spy):
         d = 4
         h = T.constant(rng.normal(size=(3, d)))
         p = T.constant(rng.normal(size=(4, d)))
-        trace = []
-        z = interact(h, p, np.ones(3), np.ones(4), _inter_params(rng, d), only_h2p=True, no_self_attention=True, trace=trace)
+        trace = _watch_stages(spy)
+        z = interact(h, p, np.ones(3), np.ones(4), _inter_params(rng, d), only_h2p=True, no_self_attention=True)
         np.testing.assert_array_equal(z.data[:, 3 * d :], np.zeros((3, d)))
         assert "p2h_attention" not in trace
 
-    def test_only_p2h_zeroes_mixture_blocks(self, rng):
+    def test_only_p2h_zeroes_mixture_blocks(self, rng, spy):
         d = 4
         h = T.constant(rng.normal(size=(3, d)))
         p = T.constant(rng.normal(size=(4, d)))
-        trace = []
-        z = interact(h, p, np.ones(3), np.ones(4), _inter_params(rng, d), only_p2h=True, no_self_attention=True, trace=trace)
+        trace = _watch_stages(spy)
+        z = interact(h, p, np.ones(3), np.ones(4), _inter_params(rng, d), only_p2h=True, no_self_attention=True)
         np.testing.assert_array_equal(z.data[:, d : 3 * d], np.zeros((3, 2 * d)))
         assert "h2p_attention" not in trace
 
-    def test_self_attention_disabled_returns_merge_output(self, rng):
+    def test_self_attention_disabled_returns_merge_output(self, rng, spy):
         d = 3
         h = T.constant(rng.normal(size=(2, d)))
         p = T.constant(rng.normal(size=(3, d)))
-        trace = []
-        z = interact(h, p, np.ones(2), np.ones(3), _inter_params(rng, d), no_self_attention=True, trace=trace)
+        trace = _watch_stages(spy)
+        z = interact(h, p, np.ones(2), np.ones(3), _inter_params(rng, d), no_self_attention=True)
         assert "self_attend" not in trace
         assert z.shape == (2, 4 * d)
 

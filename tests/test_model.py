@@ -1,12 +1,35 @@
 import numpy as np
 import pytest
 
+from sentmatch import encoder, interaction
+from sentmatch import model as model_mod
 from sentmatch.config import TrainConfig
 from sentmatch.data import RawPair, build_batches, build_vocab
 from sentmatch.embedding import StubContextualProvider, random_static_vectors
 from sentmatch.model import MatchModel, init_params, param_count
 
-FULL_BLOCKS = ["embed", "encode_context", "align", "fuse", "similarity", "h2p_attention", "p2h_attention", "merge", "self_attend", "pool", "head"]
+# block name -> the bindings the forward pass calls it through
+BLOCK_BINDINGS = {
+    "embed": [(MatchModel, "embed_sentence")],
+    "encode_context": [(encoder, "encode_context")],
+    "align": [(encoder, "align")],
+    "fuse": [(encoder, "fuse")],
+    "similarity": [(interaction, "similarity")],
+    "h2p_attention": [(interaction, "h2p_attention")],
+    "p2h_attention": [(interaction, "p2h_attention")],
+    "merge": [(interaction, "merge")],
+    "self_attend": [(interaction, "self_attend")],
+    "pool": [(model_mod, "pool_splice"), (model_mod, "pool_meanmax")],
+    "head": [(model_mod, "head_forward")],
+}
+FULL_BLOCKS = list(BLOCK_BINDINGS)
+
+
+def _watch_blocks(spy):
+    for block, bindings in BLOCK_BINDINGS.items():
+        for owner, attr in bindings:
+            spy(owner, attr, block)
+    return spy.calls
 
 
 def _cfg(**kw):
@@ -36,10 +59,10 @@ def _build(cfg, pairs):
 
 
 class TestStructure:
-    def test_full_model_trace_contains_every_block(self):
+    def test_full_model_trace_contains_every_block(self, spy):
         model, batch = _build(_cfg(), _fixture_pairs())
-        trace = []
-        out = model.forward_pair(batch.pairs[0], trace=trace)
+        trace = _watch_blocks(spy)
+        out = model.forward_pair(batch.pairs[0])
         assert out.shape == (1, 3)
         for block in FULL_BLOCKS:
             assert block in trace, f"missing {block}"
@@ -54,11 +77,12 @@ class TestStructure:
             ("only_p2h", "h2p_attention"),
         ],
     )
-    def test_ablation_removes_its_block(self, flag, gone):
+    def test_ablation_removes_its_block(self, flag, gone, spy):
         model, batch = _build(_cfg(**{flag: True}), _fixture_pairs())
-        trace = []
-        model.forward_pair(batch.pairs[0], trace=trace)
+        trace = _watch_blocks(spy)
+        model.forward_pair(batch.pairs[0])
         assert gone not in trace
+        assert set(trace) == set(FULL_BLOCKS) - {gone}
 
     @pytest.mark.parametrize("flag", ["no_elmo", "no_alignment", "no_fusion", "no_self_attention"])
     def test_component_ablations_shrink_parameter_count(self, flag):

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -104,7 +106,7 @@ class TestAdam:
             adam_step(model.params, m, v, t=t, cfg=cfg)
 
         step(1)
-        ck = _snapshot(model, m, v, 1, 0, result.checkpoint.vocab, np.random.default_rng(0), [])
+        ck = _snapshot(model, m, v, 1, 0, result.checkpoint.vocab, [])
 
         def saved_bytes():
             arrays = [t.data for t in ck.params.values()] + list(ck.adam_m.values()) + list(ck.adam_v.values())
@@ -248,6 +250,24 @@ class TestCheckpoint:
             save_checkpoint(path, broken)
         assert path.read_bytes() == good
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]
+
+    def test_manifest_with_an_rng_state_still_loads(self, tmp_path):
+        # earlier files carried an "rng_state" manifest key that nothing read
+        pairs = _classify_pairs(15, seed=21)
+        result = train(_tiny_cfg(epochs=1), pairs, dev_pairs=pairs)
+        path, old_path = tmp_path / "ck.bin", tmp_path / "old.bin"
+        save_checkpoint(path, result.checkpoint)
+        blob = path.read_bytes()
+        (manifest_len,) = struct.unpack("<Q", blob[8:16])
+        manifest = json.loads(blob[16 : 16 + manifest_len])
+        manifest["rng_state"] = {"bit_generator": "PCG64", "state": {"state": 2**100 + 7, "inc": 2**90 + 1}, "has_uint32": 0, "uinteger": 0}
+        header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        old_path.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + manifest_len :])
+        old = load_checkpoint(old_path)
+        assert evaluate_checkpoint(old, pairs).metrics == evaluate_checkpoint(result.checkpoint, pairs).metrics
+        resaved = tmp_path / "resaved.bin"
+        save_checkpoint(resaved, old)
+        assert resaved.read_bytes() == blob
 
     def test_roundtrip_preserves_evaluation_bitwise(self, tmp_path):
         pairs = _classify_pairs(15, seed=12)
