@@ -9,18 +9,18 @@ Layout (little-endian):
     data      for each manifest tensor entry, in order: raw float64 values
 
 The manifest records the epoch, the resolved config, the vocabulary, the
-optimizer step count, the metric history, and one entry per tensor:
-name, shape, kind (param / adam_m / adam_v) and whether the parameter is
-trainable. Saving the result of a load reproduces the file byte for
-byte. Saving is atomic: a file at the target path is replaced only by a
-complete new one. A file that is cut short, or whose manifest is not
-UTF-8 JSON with every expected key and a valid config, raises ParseError
-naming the file.
+metric history, and one entry per model parameter: name, shape, kind
+"param" and whether it is trainable. Optimizer state is not saved; older
+files whose manifest also has an "adam_t" step count and "adam_m" /
+"adam_v" moment entries load, with those read past. Saving the result of
+a load reproduces the file byte for byte. Saving is atomic: a file at
+the target path is replaced only by a complete new one. A file that is
+cut short, or whose manifest is not UTF-8 JSON with every expected key,
+known tensor kinds and a valid config, raises ParseError naming the file.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import struct
@@ -30,19 +30,17 @@ import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig
-from .embedding import Vocab, _read_exact
+from .embedding import Vocab, _read_exact, _write_atomic
 from .errors import ConfigError, ParseError
 
 MAGIC = b"SMCK"
 VERSION = 1
+_LEGACY_KINDS = ("adam_m", "adam_v")  # optimizer moments in older files, read past
 
 
 @dataclass
 class Checkpoint:
     params: dict
-    adam_m: dict
-    adam_v: dict
-    adam_t: int
     epoch: int
     config: TrainConfig
     vocab: Vocab
@@ -50,21 +48,11 @@ class Checkpoint:
 
 
 def _manifest(ck):
-    tensors = []
-    for name in sorted(ck.params):
-        tensors.append(
-            {
-                "name": name,
-                "shape": list(ck.params[name].shape),
-                "kind": "param",
-                "trainable": bool(ck.params[name].requires_grad),
-            }
-        )
-    for kind, table in (("adam_m", ck.adam_m), ("adam_v", ck.adam_v)):
-        for name in sorted(table):
-            tensors.append({"name": name, "shape": list(table[name].shape), "kind": kind, "trainable": False})
+    tensors = [
+        {"name": name, "shape": list(t.shape), "kind": "param", "trainable": bool(t.requires_grad)}
+        for name, t in sorted(ck.params.items())
+    ]
     return {
-        "adam_t": ck.adam_t,
         "config": ck.config.to_dict(),
         "epoch": ck.epoch,
         "history": ck.history,
@@ -74,28 +62,14 @@ def _manifest(ck):
 
 
 def save_checkpoint(path, ck):
-    """Write `ck` to `path` atomically.
-
-    The bytes go to a sibling temporary file that replaces `path` only
-    once complete, so a failed write leaves any previous file intact.
-    """
-    manifest = _manifest(ck)
-    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<IQ", VERSION, len(header)))
-            fh.write(header)
-            for entry in manifest["tensors"]:
-                source = {"param": None, "adam_m": ck.adam_m, "adam_v": ck.adam_v}[entry["kind"]]
-                arr = ck.params[entry["name"]].data if source is None else source[entry["name"]]
-                fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    """Write `ck` to `path` atomically: a failed write leaves any previous file intact."""
+    header = json.dumps(_manifest(ck), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with _write_atomic(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<IQ", VERSION, len(header)))
+        fh.write(header)
+        for name in sorted(ck.params):
+            fh.write(memoryview(np.ascontiguousarray(ck.params[name].data, dtype="<f8")))
 
 
 def load_checkpoint(path):
@@ -119,26 +93,22 @@ def load_checkpoint(path):
 
 
 def _from_manifest(fh, path, size, manifest):
-    params, adam_m, adam_v = {}, {}, {}
+    params = {}
     for entry in manifest["tensors"]:
+        kind = entry["kind"]
+        if kind != "param" and kind not in _LEGACY_KINDS:
+            raise ParseError(f"{path}: unknown tensor kind {kind!r}")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(_read_exact(fh, count * 8, path, size), dtype="<f8").reshape(shape).copy()
-        if entry["kind"] == "param":
-            params[entry["name"]] = T.Tensor(arr, requires_grad=entry["trainable"])
-        elif entry["kind"] == "adam_m":
-            adam_m[entry["name"]] = arr
-        else:
-            adam_v[entry["name"]] = arr
+        raw = _read_exact(fh, count * 8, path, size)
+        if kind == "param":
+            params[entry["name"]] = T.Tensor(np.frombuffer(raw, dtype="<f8").reshape(shape).copy(), requires_grad=entry["trainable"])
     tokens = manifest["vocab"]
     vocab = Vocab(tokens[2:])
     if vocab.id_to_token != tokens:
         raise ParseError(f"{path}: vocabulary in manifest is not in canonical order")
     return Checkpoint(
         params=params,
-        adam_m=adam_m,
-        adam_v=adam_v,
-        adam_t=manifest["adam_t"],
         epoch=manifest["epoch"],
         config=TrainConfig.from_dict(manifest["config"]),
         vocab=vocab,

@@ -21,7 +21,7 @@ from pathlib import Path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, read_config_file
 from .data import build_vocab, read_dataset, task_spec
-from .embedding import CacheContextualProvider, StubContextualProvider, Vocab, load_static_vectors, random_static_vectors
+from .embedding import CacheContextualProvider, StubContextualProvider, Vocab, _write_atomic, load_static_vectors, random_static_vectors
 from .errors import ConfigError, DataError, NumericalError, SentMatchError
 from .model import MatchModel
 from .trainer import evaluate_checkpoint, run_ablations, train
@@ -111,8 +111,8 @@ def cmd_train(args):
         log=(None if args.quiet else print),
     )
     save_checkpoint(out_dir / "checkpoint.bin", result.checkpoint)
-    with open(out_dir / "history.json", "w", encoding="utf-8") as fh:
-        json.dump(result.history, fh, indent=1, sort_keys=True)
+    with _write_atomic(out_dir / "history.json") as fh:
+        fh.write(json.dumps(result.history, indent=1, sort_keys=True).encode("utf-8"))
     print(f"fingerprint={cfg.fingerprint()} best_epoch={result.best_epoch}")
     if dev_pairs is not None:
         name = "acc" if task_spec(cfg.task).kind == "classify" else "map"

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .data import task_spec
+from .embedding import _text_lines
 from .errors import ConfigError
 
 
@@ -134,13 +135,12 @@ def _coerce(raw, target, key):
 def read_config_file(path):
     """Parse `key = value` lines into a dict of raw strings."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line.strip()!r}")
-            key, value = stripped.split("=", 1)
-            values[key.strip()] = value.strip()
+    for line_no, line in _text_lines(path, ConfigError):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line.strip()!r}")
+        key, value = stripped.split("=", 1)
+        values[key.strip()] = value.strip()
     return values

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import PAD, Vocab, sentence_id
+from .embedding import PAD, Vocab, _text_lines, sentence_id
 from .errors import DataError
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
@@ -69,13 +69,7 @@ def read_dataset(path, task):
     spec = task_spec(task) if isinstance(task, str) else task
     label_ids = {lab: i for i, lab in enumerate(spec.labels)}
     pairs = []
-    with open(path, "rb") as fh:
-        raw_lines = fh.read().splitlines()
-    for line_no, raw in enumerate(raw_lines, start=1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}:{line_no}: not valid UTF-8 (byte {exc.start + 1} of the line)") from None
+    for line_no, line in _text_lines(path, DataError):
         if not line:
             continue
         cols = line.split("\t")

@@ -23,6 +23,7 @@ same way addresses the same record.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import struct
@@ -69,8 +70,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
+        tokens = [line for _, line in _text_lines(path, ParseError)]
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise ParseError(f"vocab file {path} does not start with the reserved tokens")
         return cls(tokens[2:])
@@ -87,27 +87,30 @@ def load_static_vectors(path, vocab, dim, seed=0):
     Tokens present in the file get the file's vector; in-vocabulary
     tokens missing from the file get a small uniform init in
     [-0.05, 0.05] from the seeded generator; the pad row stays zero.
+    A value that is not a finite float raises ParseError naming the line.
     """
     matrix = np.zeros((len(vocab), dim))
-    found = np.zeros(len(vocab), dtype=bool)
-    found[PAD] = True
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                continue
-            token, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise ParseError(f"{path}:{line_no}: expected {dim} floats after token, got {len(values)}")
-            if token in vocab:
-                idx = vocab.id_of(token)
-                try:
-                    matrix[idx] = [float(v) for v in values]
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{line_no}: {exc}") from None
-                found[idx] = True
+    line_of = np.zeros(len(vocab), dtype=np.int64)  # 0: not in the file
+    line_of[PAD] = -1
+    for line_no, line in _text_lines(path, ParseError):
+        parts = line.split(" ")
+        if len(parts) < 2:
+            continue
+        token, values = parts[0], parts[1:]
+        if len(values) != dim:
+            raise ParseError(f"{path}:{line_no}: expected {dim} floats after token, got {len(values)}")
+        if token in vocab:
+            idx = vocab.id_of(token)
+            try:
+                matrix[idx] = [float(v) for v in values]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{line_no}: {exc}") from None
+            line_of[idx] = line_no
+    bad = line_of[~np.isfinite(matrix).all(axis=1)]
+    if bad.size:
+        raise ParseError(f"{path}:{bad.min()}: values must be finite")
     rng = np.random.default_rng(seed)
-    for idx in np.flatnonzero(~found):
+    for idx in np.flatnonzero(line_of == 0):
         matrix[idx] = rng.uniform(-0.05, 0.05, size=dim)
     return matrix
 
@@ -162,9 +165,9 @@ class CacheContextualProvider:
 
 
 def write_contextual_cache(path, dim, records):
-    """records: iterable of (sentence_id, len x dim float array)."""
+    """records: iterable of (sentence_id, len x dim float array). Written atomically."""
     items = list(records)
-    with open(path, "wb") as fh:
+    with _write_atomic(path) as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<IIQ", CACHE_VERSION, dim, len(items)))
         for sid, rows in items:
@@ -176,6 +179,42 @@ def write_contextual_cache(path, dim, records):
             fh.write(encoded)
             fh.write(struct.pack("<I", arr.shape[0]))
             fh.write(arr.tobytes())
+
+
+@contextlib.contextmanager
+def _write_atomic(path):
+    """A binary file at `<path>.tmp`, renamed over `path` if the block completes.
+
+    On any failure the temporary is removed and a previous file at `path`
+    stays intact. No fsync: this guards against a failing writer, not power loss.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _text_lines(path, error):
+    """Stream (line number, line without terminator), split as text mode splits.
+
+    A line that is not UTF-8 raises `error` naming the path, line and byte.
+    Bad bytes decode to lone surrogates (surrogateescape), which valid
+    UTF-8 never yields, so only non-ASCII lines need the re-check.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    at = len(line[: exc.start].encode("utf-8", "surrogateescape")) + 1
+                    raise error(f"{path}:{line_no}: not valid UTF-8 (byte {at} of the line)") from None
+            yield line_no, line.rstrip("\n")
 
 
 def _read_exact(fh, count, path, size):

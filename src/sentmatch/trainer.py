@@ -62,8 +62,8 @@ def adam_step(params, state_m, state_v, t, cfg):
     The step consumes the gradients: each `p.grad` is None afterwards,
     released before the update allocates. The moment arrays in
     `state_m` / `state_v` are updated in place, and `p.data` is replaced
-    by a fresh array (never written through), so copies of the moments
-    and references to earlier `p.data` arrays stay valid. Each tensor
+    by a fresh array (never written through), so references to earlier
+    `p.data` arrays stay valid. Each tensor
     costs two scratch arrays; the IEEE operations and their order are
     those of `m = beta1*m + (1-beta1)*g`, `v = beta2*v + ((1-beta2)*g)*g`
     and `p - (lr*(m/c1)) / (sqrt(v/c2) + eps)`, so results match that
@@ -201,13 +201,13 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
             log("epoch {epoch}: loss={train_loss:.4f}".format(**record) + (f" dev={metric:.4f}" if dev_pairs is not None else ""))
         if metric > best_metric:
             best_metric, best_epoch, since_best = metric, epoch, 0
-            best_ck = _snapshot(model, m_state, v_state, adam_t, epoch, vocab, history)
+            best_ck = _snapshot(model, epoch, vocab, history)
         else:
             since_best += 1
             if cfg.early_stop_patience > 0 and since_best >= cfg.early_stop_patience:
                 break
     if best_ck is None:
-        best_ck = _snapshot(model, m_state, v_state, adam_t, cfg.epochs - 1, vocab, history)
+        best_ck = _snapshot(model, cfg.epochs - 1, vocab, history)
     best_ck.history = history
     return TrainResult(history, best_epoch, best_metric, best_ck, model)
 
@@ -260,20 +260,11 @@ def evaluate_checkpoint(ck, pairs, provider=None):
     return evaluate(model, pairs, ck.vocab)
 
 
-def _snapshot(model, m_state, v_state, adam_t, epoch, vocab, history):
-    # adam_step replaces parameter arrays instead of writing through them, so
-    # the snapshot can share them; the moments change in place and are copied
+def _snapshot(model, epoch, vocab, history):
+    # adam_step replaces parameter arrays instead of writing through them,
+    # so the snapshot can share them
     params = {name: T.Tensor(t.data, requires_grad=t.requires_grad) for name, t in model.params.items()}
-    return Checkpoint(
-        params=params,
-        adam_m={n: a.copy() for n, a in m_state.items()},
-        adam_v={n: a.copy() for n, a in v_state.items()},
-        adam_t=adam_t,
-        epoch=epoch,
-        config=model.cfg,
-        vocab=vocab,
-        history=list(history),
-    )
+    return Checkpoint(params=params, epoch=epoch, config=model.cfg, vocab=vocab, history=list(history))
 
 
 ABLATION_ORDER = (

@@ -5,7 +5,9 @@ plain numpy / python loops and never imports the package's tensor engine,
 so a bug in the engine cannot hide in the oracle.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -236,3 +238,36 @@ def take_rows_dense_grad(n_rows, idx, g):
     gx = np.zeros((n_rows, g.shape[1]))
     np.add.at(gx, np.asarray(idx, dtype=np.intp), g)
     return gx
+
+
+def save_checkpoint_with_moments(path, ck, adam_m, adam_v, adam_t):
+    """Write `ck` in the earlier checkpoint layout that also held Adam state.
+
+    The manifest has an "adam_t" step count and, after the "param"
+    entries, one "adam_m" then one "adam_v" entry per moment array, each
+    group in sorted name order; the float64 values follow in manifest
+    order. This is the writer of that layout, kept as the reference for
+    files written before optimizer state was dropped.
+    """
+    tensors = [
+        {"name": n, "shape": list(ck.params[n].shape), "kind": "param", "trainable": bool(ck.params[n].requires_grad)}
+        for n in sorted(ck.params)
+    ]
+    arrays = [ck.params[n].data for n in sorted(ck.params)]
+    for kind, table in (("adam_m", adam_m), ("adam_v", adam_v)):
+        for n in sorted(table):
+            tensors.append({"name": n, "shape": list(table[n].shape), "kind": kind, "trainable": False})
+            arrays.append(table[n])
+    manifest = {
+        "adam_t": adam_t,
+        "config": ck.config.to_dict(),
+        "epoch": ck.epoch,
+        "history": ck.history,
+        "tensors": tensors,
+        "vocab": ck.vocab.id_to_token,
+    }
+    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"SMCK" + struct.pack("<IQ", 1, len(header)) + header)
+        for arr in arrays:
+            fh.write(np.asarray(arr, dtype="<f8").tobytes())

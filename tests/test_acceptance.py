@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from sentmatch import tensor as T
 from sentmatch.checkpoint import save_checkpoint
@@ -227,6 +228,7 @@ def test_criterion_4_overfit_synthetic():
     print(f"\n[acceptance] criterion 4 (64-pair overfit, 100% at epoch {first}, {elapsed:.0f}s): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_training():
     t0 = time.perf_counter()
     train_pairs = _pairs(10_000, seed=20)
@@ -240,6 +242,7 @@ def test_criterion_5_desk_scale_training():
     print(f"\n[acceptance] criterion 5 (10k-pair desk scale, dev acc {best:.3f}, {elapsed:.0f}s): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_6_ablation_structure_and_direction():
     t0 = time.perf_counter()
     train_pairs = _pairs(1_500, seed=100)

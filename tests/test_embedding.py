@@ -67,6 +67,13 @@ class TestStaticVectors:
         with pytest.raises(ParseError, match=":2:"):
             load_static_vectors(path, Vocab(["cat", "dog"]), dim=3)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_path_and_line(self, tmp_path, value):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"cat 1.0 2.0 3.0\nowl {value} 0 0\ndog 1.0 {value} 3.0\nbird 0 0 nan\n")
+        with pytest.raises(ParseError, match=f"{path}:3: values must be finite"):
+            load_static_vectors(path, Vocab(["cat", "dog", "bird"]), dim=3)
+
     def test_pad_row_stays_zero(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 2.0 3.0\n")

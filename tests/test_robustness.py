@@ -21,16 +21,32 @@ from sentmatch.errors import DataError, ParseError
 from sentmatch.synthetic import make_classification_pairs, make_ranking_groups, write_tsv
 from sentmatch.trainer import train
 
+import oracles
+
 TINY = ["--static_dim", "12", "--contextual_dim", "0", "--hidden", "8", "--epochs", "1", "--batch_size", "16", "--seed", "3"]
 LABELS = {"entailment": 0, "contradiction": 1, "neutral": 2}
 
 
 @pytest.fixture(scope="module")
-def ck_blob(tmp_path_factory):
+def valid_ck():
     pairs = [RawPair(LABELS[l], a, b) for l, a, b in make_classification_pairs(8, seed=1)]
     cfg = TrainConfig(task="snli", static_dim=4, contextual_dim=0, hidden=3, epochs=1, batch_size=8, seed=3)
+    return train(cfg, pairs).checkpoint
+
+
+@pytest.fixture(scope="module")
+def ck_blob(tmp_path_factory, valid_ck):
     path = tmp_path_factory.mktemp("valid") / "ck.bin"
-    save_checkpoint(path, train(cfg, pairs).checkpoint)
+    save_checkpoint(path, valid_ck)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def legacy_ck_blob(tmp_path_factory, valid_ck):
+    """The same checkpoint in the earlier layout that also held Adam state."""
+    moments = {n: np.full(t.shape, 0.5) for n, t in valid_ck.params.items()}
+    path = tmp_path_factory.mktemp("valid") / "legacy.bin"
+    oracles.save_checkpoint_with_moments(path, valid_ck, moments, moments, adam_t=1)
     return path.read_bytes()
 
 
@@ -59,17 +75,34 @@ def _write(tmp_path, name, blob):
     return path
 
 
+def _assert_cli_fails(code, culprit, *argv):
+    """Run the CLI in a fresh interpreter: exit `code`, one `error:` line naming `culprit`, no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sentmatch.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sentmatch.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error:") and str(culprit) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 class TestCheckpointFile:
-    def test_fixtures_are_valid(self, tmp_path, ck_blob, cache_blob):
+    def test_fixtures_are_valid(self, tmp_path, ck_blob, legacy_ck_blob, cache_blob):
         assert load_checkpoint(_write(tmp_path, "ck.bin", ck_blob)).params
+        assert load_checkpoint(_write(tmp_path, "legacy.bin", legacy_ck_blob)).params
         assert read_contextual_cache(_write(tmp_path, "ctx.bin", cache_blob))[1]
 
     @given(st.data())
-    def test_every_strict_prefix_is_a_parse_error(self, cut_dir, ck_blob, data):
-        cut = data.draw(st.integers(min_value=0, max_value=len(ck_blob) - 1))
-        path = _write(cut_dir, "ck.bin", ck_blob[:cut])
-        with pytest.raises(ParseError, match=str(path)):
-            load_checkpoint(path)
+    def test_every_strict_prefix_is_a_parse_error(self, cut_dir, ck_blob, legacy_ck_blob, data):
+        for blob in (ck_blob, legacy_ck_blob):
+            cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+            path = _write(cut_dir, "ck.bin", blob[:cut])
+            with pytest.raises(ParseError, match=str(path)):
+                load_checkpoint(path)
 
     def test_every_prefix_ending_in_the_header_or_manifest_is_a_parse_error(self, tmp_path, ck_blob):
         path = tmp_path / "ck.bin"
@@ -81,14 +114,15 @@ class TestCheckpointFile:
     @pytest.mark.parametrize(
         "old, new",
         [
-            (b'{"adam_t"', b'\xff"adam_t"'),
-            (b'{"adam_t"', b'["adam_t"'),
+            (b'{"config"', b'\xff"config"'),
+            (b'{"config"', b'["config"'),
             (b'"epoch":', b'"epokh":'),
             (b'"shape":', b'"shapf":'),
             (b'"tensors":[', b'"tensors":7,"was":['),
             (b'"hidden":', b'"hiddem":'),
+            (b'"kind":"param"', b'"kind":"adam_w"'),
         ],
-        ids=["not-utf8", "not-json", "missing-top-level-key", "missing-tensor-key", "wrong-type", "bad-config"],
+        ids=["not-utf8", "not-json", "missing-top-level-key", "missing-tensor-key", "wrong-type", "bad-config", "unknown-kind"],
     )
     def test_broken_manifest_is_a_parse_error(self, tmp_path, ck_blob, old, new):
         end = _manifest_end(ck_blob)
@@ -102,17 +136,7 @@ class TestCheckpointFile:
         dev = tmp_path / "dev.tsv"
         write_tsv(dev, make_classification_pairs(6, seed=2))
         ck = _write(tmp_path, "ck.bin", ck_blob[: _manifest_end(ck_blob) - 40])
-        env = dict(os.environ, PYTHONPATH=str(Path(sentmatch.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sentmatch.cli", "eval", "--checkpoint", str(ck), "--data", str(dev)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error:") and str(ck) in proc.stderr
-        assert "Traceback" not in proc.stderr
+        _assert_cli_fails(2, ck, "eval", "--checkpoint", ck, "--data", dev)
 
 
 class TestContextualCacheFile:
@@ -134,6 +158,15 @@ class TestContextualCacheFile:
         path = _write(tmp_path, "ctx.bin", cache_blob.replace(b"first", b"\xffirst", 1))
         with pytest.raises(ParseError, match="not UTF-8"):
             read_contextual_cache(path)
+
+    def test_failed_write_leaves_previous_file_intact(self, tmp_path, cache_blob):
+        path = _write(tmp_path, "ctx.bin", cache_blob)
+        # the last record has the wrong width: the write fails partway
+        records = [("first", np.ones((2, 3))), ("second", np.ones((1, 4)))]
+        with pytest.raises(DataError, match="second"):
+            write_contextual_cache(path, 3, records)
+        assert path.read_bytes() == cache_blob
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ctx.bin"]
 
     def test_huge_record_length_is_a_parse_error(self, tmp_path, cache_blob):
         at = 20  # the first record's id length
@@ -161,6 +194,24 @@ class TestDatasetInput:
         path.write_bytes(b"entailment\ta b\tc d\r\n\r\nneutral\te\tf\rcontradiction\tg\th")
         pairs = read_dataset(path, "snli")
         assert [(p.label, p.sent_a, p.sent_b, p.line_no) for p in pairs] == [(0, "a b", "c d", 1), (2, "e", "f", 3), (1, "g", "h", 4)]
+
+
+class TestTextInputs:
+    @pytest.mark.parametrize(
+        "flag, content, line, code",
+        [
+            ("--vocab", b"<pad>\n<unk>\na\ncaf\xe9\n", 4, 2),
+            ("--vectors", b"a 0.1 0.2\ncaf\xe9 0.3 0.4\n", 2, 2),
+            ("--config", b"hidden = 8\n# r\xe9sum\xe9\n", 2, 1),
+        ],
+        ids=["vocab", "vectors", "config"],
+    )
+    def test_non_utf8_file_names_the_path_and_line(self, tmp_path, flag, content, line, code):
+        train_tsv = tmp_path / "train.tsv"
+        write_tsv(train_tsv, make_classification_pairs(8, seed=5))
+        path = _write(tmp_path, "input.txt", content)
+        argv = ["train", "--train", train_tsv, "--out", tmp_path / "run", "--quiet", *TINY, "--static_dim", "2", flag, path]
+        _assert_cli_fails(code, f"{path}:{line}: not valid UTF-8", *argv)
 
 
 class TestNothingToTrainOn:

@@ -106,11 +106,10 @@ class TestAdam:
             adam_step(model.params, m, v, t=t, cfg=cfg)
 
         step(1)
-        ck = _snapshot(model, m, v, 1, 0, result.checkpoint.vocab, [])
+        ck = _snapshot(model, 0, result.checkpoint.vocab, [])
 
         def saved_bytes():
-            arrays = [t.data for t in ck.params.values()] + list(ck.adam_m.values()) + list(ck.adam_v.values())
-            return [a.tobytes() for a in arrays]
+            return [t.data.tobytes() for t in ck.params.values()]
 
         before = saved_bytes()
         live = model.params["embed.static"].data.tobytes()
@@ -244,8 +243,10 @@ class TestCheckpoint:
         save_checkpoint(path, ck)
         good = path.read_bytes()
         # the last tensor written cannot be read as float64: the write fails partway
-        name = sorted(ck.adam_v)[-1]
-        broken = dataclasses.replace(ck, adam_v={**ck.adam_v, name: np.full(ck.adam_v[name].shape, "x", dtype=object)})
+        name = sorted(ck.params)[-1]
+        bad = T.Tensor(ck.params[name].data)
+        bad.data = np.full(bad.shape, "x", dtype=object)
+        broken = dataclasses.replace(ck, params={**ck.params, name: bad})
         with pytest.raises(ValueError):
             save_checkpoint(path, broken)
         assert path.read_bytes() == good
@@ -268,6 +269,33 @@ class TestCheckpoint:
         resaved = tmp_path / "resaved.bin"
         save_checkpoint(resaved, old)
         assert resaved.read_bytes() == blob
+
+    def test_file_holds_the_header_manifest_and_parameters_only(self, tmp_path):
+        result = train(_tiny_cfg(epochs=1), _classify_pairs(12, seed=22))
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, result.checkpoint)
+        blob = path.read_bytes()
+        (manifest_len,) = struct.unpack("<Q", blob[8:16])
+        manifest = json.loads(blob[16 : 16 + manifest_len])
+        params = result.checkpoint.params
+        assert sorted(manifest) == ["config", "epoch", "history", "tensors", "vocab"]
+        assert [(e["name"], e["kind"]) for e in manifest["tensors"]] == [(n, "param") for n in sorted(params)]
+        assert len(blob) == 16 + manifest_len + 8 * sum(t.size for t in params.values())
+
+    def test_file_with_optimizer_state_still_loads(self, tmp_path, rng):
+        # earlier files also held an "adam_t" step count and the Adam moments
+        pairs = _classify_pairs(15, seed=23)
+        result = train(_tiny_cfg(epochs=1, freeze_static=True), pairs, dev_pairs=pairs)
+        ck = result.checkpoint
+        moments = [{n: rng.normal(size=t.shape) for n, t in ck.params.items() if t.requires_grad} for _ in range(2)]
+        old_path, path, resaved = tmp_path / "old.bin", tmp_path / "ck.bin", tmp_path / "resaved.bin"
+        oracles.save_checkpoint_with_moments(old_path, ck, *moments, adam_t=4)
+        save_checkpoint(path, ck)
+        old = load_checkpoint(old_path)
+        assert evaluate_checkpoint(old, pairs).metrics == evaluate_checkpoint(ck, pairs).metrics
+        save_checkpoint(resaved, old)
+        assert resaved.read_bytes() == path.read_bytes()
+        assert old_path.stat().st_size > path.stat().st_size
 
     def test_roundtrip_preserves_evaluation_bitwise(self, tmp_path):
         pairs = _classify_pairs(15, seed=12)
