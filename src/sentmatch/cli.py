@@ -18,9 +18,11 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, read_config_file
-from .data import build_vocab, read_dataset, task_spec
+from .data import build_batches, build_vocab, read_dataset, task_spec
 from .embedding import CacheContextualProvider, StubContextualProvider, Vocab, _write_atomic, load_static_vectors, random_static_vectors
 from .errors import ConfigError, DataError, NumericalError, SentMatchError
 from .model import MatchModel
@@ -60,9 +62,8 @@ def _resolve_config(args):
 
 def _echo_config(cfg, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "config.txt", "w", encoding="utf-8") as fh:
-        for key, value in cfg.to_dict().items():
-            fh.write(f"{key} = {value}\n")
+    with _write_atomic(out_dir / "config.txt") as fh:
+        fh.write("".join(f"{key} = {value}\n" for key, value in cfg.to_dict().items()).encode("utf-8"))
 
 
 def _provider_for(cfg, contextual_arg):
@@ -138,17 +139,15 @@ def cmd_predict(args):
     pairs = read_dataset(args.data, ck.config.task)
     model = MatchModel(ck.config, ck.params, provider=provider)
     spec = task_spec(ck.config.task)
-    from .data import build_batches
-
     batches, _ = build_batches(pairs, ck.vocab, spec, ck.config.batch_size, shuffle_seed=None, max_len=ck.config.effective_max_len)
     for batch in batches:
-        for pair in batch.pairs:
+        out = model.forward_pair(batch).data
+        for pair, row in zip(batch.pairs, out):
             if spec.kind == "classify":
-                pred, probs = model.predict_class(pair)
-                probs_txt = ",".join(f"{p:.6f}" for p in probs)
-                print(f"{pair.pair_id}\t{spec.labels[pred]}\t{probs_txt}")
+                probs_txt = ",".join(f"{p:.6f}" for p in row)
+                print(f"{pair.pair_id}\t{spec.labels[int(np.argmax(row))]}\t{probs_txt}")
             else:
-                print(f"{pair.pair_id}\t{pair.group_id}\t{model.score(pair):.6f}")
+                print(f"{pair.pair_id}\t{pair.group_id}\t{float(row[0]):.6f}")
     return 0
 
 
@@ -170,8 +169,8 @@ def cmd_ablate(args):
     for line in lines:
         print(line)
     if out_dir:
-        with open(out_dir / "ablate.txt", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with _write_atomic(out_dir / "ablate.txt") as fh:
+            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
     return 0
 
 

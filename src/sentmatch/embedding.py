@@ -64,9 +64,8 @@ class Vocab:
         return token in self.token_to_id
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.id_to_token:
-                fh.write(tok + "\n")
+        with _write_atomic(path) as fh:
+            fh.write("".join(tok + "\n" for tok in self.id_to_token).encode("utf-8"))
 
     @classmethod
     def load(cls, path):

@@ -11,6 +11,10 @@ sigmoid gate. Both sentences share all encoder weights.
 Masking discipline: padded rows are zeroed after every sublayer and
 attention logits over padded positions carry a large negative additive
 bias, so padded positions can never influence an unpadded output.
+
+Every function takes one pair, as (len, d) activations with (len,)
+masks, or a padded batch, as (batch, len, d) activations with
+(batch, len) masks; both work on the last two axes.
 """
 
 from __future__ import annotations
@@ -34,20 +38,20 @@ from . import tensor as T
 
 
 def row_mask(mask, width):
-    """Constant n x width matrix repeating the 0/1 position mask."""
-    return T.constant(np.repeat(np.asarray(mask, dtype=np.float64)[:, None], width, axis=1))
+    """Constant (..., n, width) array repeating the 0/1 position mask."""
+    return T.constant(np.repeat(np.asarray(mask, dtype=np.float64)[..., None], width, axis=-1))
 
 
 def col_bias(mask_cols, n_rows):
-    """Additive n x m bias pushing masked columns out of row softmaxes."""
+    """Additive (..., n, m) bias pushing masked columns out of row softmaxes."""
     bias = (1.0 - np.asarray(mask_cols, dtype=np.float64)) * T.MASK_OFF
-    return T.constant(np.tile(bias, (n_rows, 1)))
+    return T.constant(np.repeat(bias[..., None, :], n_rows, axis=-2))
 
 
 def row_bias(mask_rows, n_cols):
-    """Additive n x m bias pushing masked rows out of column softmaxes."""
+    """Additive (..., n, m) bias pushing masked rows out of column softmaxes."""
     bias = (1.0 - np.asarray(mask_rows, dtype=np.float64)) * T.MASK_OFF
-    return T.constant(np.repeat(bias[:, None], n_cols, axis=1))
+    return T.constant(np.repeat(bias[..., None], n_cols, axis=-1))
 
 
 def vec_bias(mask):
@@ -57,8 +61,8 @@ def vec_bias(mask):
 def encode_context(x, mask, params, use_self_attention=True, train=False, dropout_rate=0.0, rng=None):
     """Single-sentence encoding: projection, conv stack, self-attention.
 
-    `x` is len x d_emb, `mask` the 0/1 position vector. Returns len x d
-    with padded rows exactly zero.
+    `x` is (..., len, d_emb), `mask` the 0/1 positions. Returns
+    (..., len, d) with padded rows exactly zero.
     """
     d = params["enc.w_in"].shape[1]
     keep = row_mask(mask, d)
@@ -78,8 +82,8 @@ def encode_context(x, mask, params, use_self_attention=True, train=False, dropou
     if use_self_attention:
         queries = T.matmul(h, params["enc.w_att"])
         scores = T.mul_const(T.matmul(queries, T.transpose(h)), 1.0 / math.sqrt(d))
-        scores = T.add(scores, col_bias(mask, h.shape[0]))
-        weights = T.softmax(scores, axis=1)
+        scores = T.add(scores, col_bias(mask, h.shape[-2]))
+        weights = T.softmax(scores, axis=-1)
         h = sublayer_tail(T.add(h, T.matmul(weights, h)))
     return h
 
@@ -96,11 +100,11 @@ def align(c, q, mask_a, mask_b, w_c, w_q):
     Returns (aligned_first, aligned_second, similarity).
     """
     s = T.matmul(T.relu(T.matmul(c, w_c)), T.transpose(T.relu(T.matmul(q, w_q))))
-    n, m = s.shape
-    over_b = T.softmax(T.add(s, col_bias(mask_b, n)), axis=1)
-    c_aligned = T.mul(T.matmul(over_b, q), row_mask(mask_a, c.shape[1]))
-    over_a = T.softmax(T.add(s, row_bias(mask_a, m)), axis=0)
-    q_aligned = T.mul(T.matmul(T.transpose(over_a), c), row_mask(mask_b, c.shape[1]))
+    n, m = s.shape[-2:]
+    over_b = T.softmax(T.add(s, col_bias(mask_b, n)), axis=-1)
+    c_aligned = T.mul(T.matmul(over_b, q), row_mask(mask_a, c.shape[-1]))
+    over_a = T.softmax(T.add(s, row_bias(mask_a, m)), axis=-2)
+    q_aligned = T.mul(T.matmul(T.transpose(over_a), c), row_mask(mask_b, c.shape[-1]))
     return c_aligned, q_aligned, s
 
 
@@ -111,7 +115,7 @@ def fuse(x, y, w1, w2):
     [x; y; x*y; x-y]; the output interpolates between the candidate and
     the original x under the gate.
     """
-    cat = T.concat([x, y, T.mul(x, y), T.sub(x, y)], axis=1)
+    cat = T.concat([x, y, T.mul(x, y), T.sub(x, y)], axis=-1)
     candidate = T.tanh(T.matmul(cat, w1))
     gate = T.sigmoid(T.matmul(cat, w2))
     return T.add(T.mul(gate, candidate), T.mul(T.rsub_const(1.0, gate), x))
@@ -138,8 +142,8 @@ def encode_pair(
     else:
         c_aligned, q_aligned, _ = align(c, q, mask_a, mask_b, params["enc.w_c"], params["enc.w_q"])
     if no_fusion:
-        h = T.matmul(T.concat([c, c_aligned], axis=1), params["enc.w_merge"])
-        p = T.matmul(T.concat([q, q_aligned], axis=1), params["enc.w_merge"])
+        h = T.matmul(T.concat([c, c_aligned], axis=-1), params["enc.w_merge"])
+        p = T.matmul(T.concat([q, q_aligned], axis=-1), params["enc.w_merge"])
     else:
         h = fuse(c, c_aligned, params["enc.w1"], params["enc.w2"])
         p = fuse(q, q_aligned, params["enc.w1"], params["enc.w2"])

@@ -16,34 +16,55 @@ from .errors import DataError
 LOG_FLOOR = 1e-12
 
 
-def pool_splice(z, mask):
-    """Concat of the first and last unpadded rows, as a 1 x 2*width row."""
-    idx = np.flatnonzero(np.asarray(mask) > 0)
-    if idx.size == 0:
+def _unpadded(mask):
+    """Boolean positions of (n,) or (batch, n) masks; every item must keep one."""
+    keep = np.asarray(mask) > 0
+    if not keep.any(axis=-1).all():
         raise DataError("cannot pool a fully masked sequence")
-    picked = T.take_rows(z, [idx[0], idx[-1]])
-    return T.reshape(picked, (1, 2 * z.shape[1]))
+    return keep
+
+
+def pool_splice(z, mask):
+    """Concat of the first and last unpadded rows, as a 1 x 2*width row.
+
+    For a batch, `z` is (batch, n, width) and the result (batch, 1, 2*width).
+    """
+    keep = _unpadded(mask)
+    n, width = z.shape[-2:]
+    first = np.argmax(keep, axis=-1)
+    last = n - 1 - np.argmax(keep[..., ::-1], axis=-1)
+    start = np.arange(first.size).reshape(first.shape) * n  # each item's offset among the flattened rows
+    picked = T.take_rows(T.reshape(z, (-1, width)), np.stack([start + first, start + last], axis=-1))
+    return T.reshape(picked, z.shape[:-2] + (1, 2 * width))
 
 
 def pool_meanmax(z, mask):
     """Mean and max over unpadded rows, concatenated (comparison only)."""
-    idx = np.flatnonzero(np.asarray(mask) > 0)
-    if idx.size == 0:
-        raise DataError("cannot pool a fully masked sequence")
-    rows = T.take_rows(z, idx)
-    mean = T.mul_const(T.matmul(T.constant(np.ones((1, idx.size))), rows), 1.0 / idx.size)
-    peak = T.reshape(T.max_along(rows, axis=0), (1, z.shape[1]))
-    return T.concat([mean, peak], axis=1)
+    keep = _unpadded(mask).astype(np.float64)
+    counts = keep.sum(axis=-1)[..., None, None]
+    total = T.matmul(T.constant(keep[..., None, :]), z)
+    mean = T.mul(total, T.constant(np.broadcast_to(1.0 / counts, total.shape)))
+    off = (1.0 - keep)[..., None] * T.MASK_OFF
+    peak = T.max_along(T.add(z, T.constant(np.broadcast_to(off, z.shape))), axis=-2)
+    return T.concat([mean, T.reshape(peak, mean.shape)], axis=-1)
 
 
 def head_forward(pooled, w, b, task_kind):
-    """Linear layer under tanh; softmax for classification, raw for ranking."""
-    if pooled.shape[1] != w.shape[0]:
+    """Linear layer under tanh; softmax for classification, raw for ranking.
+
+    `pooled` is one 1 x width row, or a batch's (batch, 1, width) rows;
+    the result has one row per item, (1, K) or (batch, K). Each item's
+    row is multiplied as a single row is, so a batch gives each item
+    the 1 x width product bit for bit.
+    """
+    if pooled.shape[-1] != w.shape[0]:
         raise DataError(f"pooled width {pooled.shape} does not match head weights {w.shape}")
-    pre = T.tanh(T.add(T.matmul(pooled, w), b))
+    rows = pooled.size // pooled.shape[-1]
+    out = T.reshape(T.matmul(pooled, w), (rows, w.shape[1]))
+    pre = T.tanh(T.add(out, T.tile_rows(b, rows)))
     if task_kind == "rank":
         return pre
-    return T.softmax(pre, axis=1)
+    return T.softmax(pre, axis=-1)
 
 
 def cross_entropy(probs, labels, mean=True):

@@ -13,10 +13,16 @@ A lookup into a large table therefore costs work in proportion to the
 rows it touched, not to the table. After `backward()` every `grad` is a
 plain dense ndarray of the node's shape.
 
-The engine is deliberately small: 0/1/2-d arrays, no broadcasting (equal
-shapes are enforced where the contract says so), single-threaded per
-graph. Tensors are immutable values once built; separate graphs can live
-on separate threads because there is no global tape.
+The engine is deliberately small: arrays of at most 3 dimensions, no
+broadcasting (equal shapes are enforced where the contract says so),
+single-threaded per graph. Sequence ops work on the last two axes
+(positions x features), so the same op takes one sentence pair's 2-d
+activations or a batch's 3-d ones with a leading batch axis; a shared
+2-d weight is applied to every item of the batch, and each item's
+product is the one its 2-d form computes. Convolution kernels are the
+other 3-d arrays (width, d_in, d_out). Tensors are immutable values once
+built; separate graphs can live on separate threads because there is no
+global tape.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ MASK_OFF = -1e30
 
 
 def _asarray(data):
-    # 3-d is reserved for convolution kernel stacks (width, d_in, d_out)
+    # 3-d: a batch of sequences (batch, len, d), or conv kernels (width, d_in, d_out)
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim > 3:
         raise ShapeError(f"tensors are at most 3-d, got shape {arr.shape}")
@@ -188,27 +194,49 @@ def _node(data, parents, vjp):
 # linear algebra
 
 
+def _swap(arr):
+    return np.swapaxes(arr, -1, -2)
+
+
 def matmul(a, b):
-    """Matrix product of two 2-d tensors; gradients for both operands."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes; gradients for both operands.
+
+    `a` is (..., n, k). `b` is a (k, m) matrix shared by every item, or
+    (..., k, m) with the same leading axes as `a`. The forward makes, for
+    each item, the BLAS call of its 2-d product, so a batch gives each
+    item's 2-d result bit for bit. (One GEMM over all items' rows does
+    not: BLAS picks its kernel, and with it the rounding, by matrix size,
+    and numpy multiplies a single row or column with GEMV.) Gradients
+    through a shared `b` need no such match and are one GEMM each over
+    the items' flattened rows.
+    """
+    if a.ndim < 2 or b.ndim not in (2, a.ndim) or a.shape[-1] != b.shape[-2] or b.shape[:-2] not in ((), a.shape[:-2]):
         raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
+    shared = b.ndim == 2
+    k, m = b.shape[-2:]
     out_data = a.data @ b.data
 
     def vjp(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if shared:
+            g_rows = g.reshape(-1, m)
+            _accumulate(a, (g_rows @ b.data.T).reshape(a.shape))
+            _accumulate(b, a.data.reshape(-1, k).T @ g_rows)
+        else:
+            _accumulate(a, g @ _swap(b.data))
+            _accumulate(b, _swap(a.data) @ g)
 
     return _node(out_data, (a, b), vjp)
 
 
 def transpose(a):
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects 2-d, got {a.shape}")
+    """Swap the last two axes."""
+    if a.ndim < 2:
+        raise ShapeError(f"transpose expects at least 2-d, got {a.shape}")
 
     def vjp(g):
-        _accumulate(a, g.T)
+        _accumulate(a, _swap(g))
 
-    return _node(a.data.T, (a,), vjp)
+    return _node(_swap(a.data), (a,), vjp)
 
 
 def reshape(a, shape):
@@ -221,36 +249,40 @@ def reshape(a, shape):
 
 
 def conv1d(x, kernels):
-    """Same-padded cross-correlation along the sequence axis.
+    """Same-padded cross-correlation along the sequence axis (-2).
 
-    `x` is len x d_in, `kernels` is width x d_in x d_out with odd width;
-    zero padding keeps the output length equal to the input length.
+    `x` is (..., len, d_in), `kernels` is width x d_in x d_out with odd
+    width; zero padding keeps the output length equal to the input
+    length, and items of a batch are padded apart. Each tap is one
+    product per item, the one a single sequence makes; the kernel
+    gradient of a tap is one GEMM over every item's rows.
     """
-    if x.ndim != 2 or kernels.data.ndim != 3:
-        raise ShapeError(f"conv1d expects (len,d_in) and (w,d_in,d_out), got {x.shape} and {kernels.shape}")
+    if x.ndim not in (2, 3) or kernels.data.ndim != 3:
+        raise ShapeError(f"conv1d expects (..., len, d_in) and (w, d_in, d_out), got {x.shape} and {kernels.shape}")
     w, d_in, d_out = kernels.shape
     if w % 2 == 0:
         raise ConfigError(f"conv1d kernel width must be odd, got {w}")
-    if d_in != x.shape[1]:
+    if d_in != x.shape[-1]:
         raise ShapeError(f"conv1d channel mismatch: input {x.shape} vs kernels {kernels.shape}")
-    n = x.shape[0]
+    *lead, n, _ = x.shape
     pad = w // 2
-    xp = np.zeros((n + 2 * pad, d_in))
-    xp[pad:pad + n] = x.data
-    out_data = np.zeros((n, d_out))
+    xp = np.zeros((*lead, n + 2 * pad, d_in))
+    xp[..., pad:pad + n, :] = x.data
+    out_data = np.zeros((*lead, n, d_out))
     for dt in range(w):
-        out_data += xp[dt:dt + n] @ kernels.data[dt]
+        out_data += xp[..., dt:dt + n, :] @ kernels.data[dt]
 
     def vjp(g):
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for dt in range(w):
-                gxp[dt:dt + n] += g @ kernels.data[dt].T
-            _accumulate(x, gxp[pad:pad + n])
+                gxp[..., dt:dt + n, :] += g @ kernels.data[dt].T
+            _accumulate(x, gxp[..., pad:pad + n, :])
         if kernels.requires_grad:
+            g_rows = g.reshape(-1, d_out)
             gk = np.empty_like(kernels.data)
             for dt in range(w):
-                gk[dt] = xp[dt:dt + n].T @ g
+                gk[dt] = xp[..., dt:dt + n, :].reshape(-1, d_in).T @ g_rows
             _accumulate(kernels, gk)
 
     return _node(out_data, (x, kernels), vjp)
@@ -430,17 +462,12 @@ def sum_all(x):
 
 def max_along(x, axis):
     """Max reduction along one axis; gradient routes to the first argmax."""
-    idx = np.argmax(x.data, axis=axis)
+    idx = np.expand_dims(np.argmax(x.data, axis=axis), axis)
     out_data = np.max(x.data, axis=axis)
 
     def vjp(g):
         gx = np.zeros_like(x.data)
-        if x.ndim == 1:
-            gx[idx] = g
-        elif axis % 2 == 1:
-            gx[np.arange(x.shape[0]), idx] = g
-        else:
-            gx[idx, np.arange(x.shape[1])] = g
+        np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis)
         _accumulate(x, gx)
 
     return _node(out_data, (x,), vjp)
@@ -449,18 +476,23 @@ def max_along(x, axis):
 def take_rows(x, indices):
     """Gather rows of a 2-d tensor; gradient scatter-adds back.
 
+    `indices` may have any shape, such as a batch's (batch, len) id
+    matrix; the result has that shape plus the row width.
+
     The gradient is accumulated row-sparse: rows read more than once
-    have their incoming gradients summed in occurrence order, and only
-    the unique rows and those sums are recorded on `x`. `x.grad` is
-    still dense after `backward()`, equal bit for bit to scatter-adding
-    every call's gradient into a zero table.
+    have their incoming gradients summed in occurrence order (row-major
+    over `indices`), and only the unique rows and those sums are
+    recorded on `x`. `x.grad` is still dense after `backward()`, equal
+    bit for bit to scatter-adding every call's gradient into a zero
+    table.
     """
     if x.ndim != 2:
         raise ShapeError(f"take_rows expects 2-d, got {x.shape}")
     idx = np.asarray(indices, dtype=np.intp)
 
     def vjp(g):
-        rows = idx % x.shape[0]  # in-range negative indices name the rows they read
+        rows = idx.reshape(-1) % x.shape[0]  # in-range negative indices name the rows they read
+        g = g.reshape(rows.size, x.shape[1])
         # slot of each row, in first-occurrence order; a dict beats np.unique
         # on the short index lists of sentences and pooled rows
         slot = {}
@@ -477,14 +509,14 @@ def take_rows(x, indices):
 
 
 def tile_rows(x, n):
-    """Repeat a 1 x d row n times; gradient sums the copies."""
-    if x.ndim != 2 or x.shape[0] != 1:
-        raise ShapeError(f"tile_rows expects a 1 x d row, got {x.shape}")
+    """Repeat a 1 x d row (one per item of a batch) n times; gradient sums the copies."""
+    if x.ndim < 2 or x.shape[-2] != 1:
+        raise ShapeError(f"tile_rows expects (..., 1, d) rows, got {x.shape}")
 
     def vjp(g):
-        _accumulate(x, g.sum(axis=0, keepdims=True))
+        _accumulate(x, g.sum(axis=-2, keepdims=True))
 
-    return _node(np.repeat(x.data, n, axis=0), (x,), vjp)
+    return _node(np.repeat(x.data, n, axis=-2), (x,), vjp)
 
 
 def dropout(x, rate, rng):

@@ -1,8 +1,9 @@
 """Adam training loop, evaluation, and ablation sweep.
 
-The loop is deliberately plain: per-pair forward graphs are joined into
-one batch loss (mean by default), a single backward fills the parameter
-gradients, the global norm is clipped, and Adam applies the update.
+The loop is deliberately plain: each step runs one forward graph over
+the padded batch into one batch loss (mean by default), a single
+backward fills the parameter gradients, the global norm is clipped, and
+Adam applies the update.
 Everything stochastic (shuffling, dropout, negative sampling, weight
 init) is keyed off the config seed, so a (config, data) pair determines
 the loss history and the resulting checkpoint bitwise.
@@ -17,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint
 from .config import TrainConfig
-from .data import build_batches, build_vocab, group_by_question, make_ranking_triples, task_spec, tokenize_pairs
+from .data import _make_batch, build_batches, build_vocab, group_by_question, make_ranking_triples, task_spec, tokenize_pairs
 from .embedding import random_static_vectors
 from .errors import DataError, NumericalError
 from .heads import cross_entropy, hinge_loss
@@ -124,14 +125,13 @@ def _max_abs_grad(params):
 
 
 def _classification_loss(model, batch, train, rng):
-    rows = [model.forward_pair(pair, train=train, rng=rng) for pair in batch.pairs]
-    probs = T.concat(rows, axis=0)
+    probs = model.forward_pair(batch, train=train, rng=rng)
     return cross_entropy(probs, batch.labels, mean=not model.cfg.sum_loss)
 
 
-def _ranking_loss(model, pos_pairs, neg_pairs, train, rng):
-    pos = T.concat([model.forward_pair(p, train=train, rng=rng) for p in pos_pairs], axis=0)
-    neg = T.concat([model.forward_pair(p, train=train, rng=rng) for p in neg_pairs], axis=0)
+def _ranking_loss(model, pos_batch, neg_batch, train, rng):
+    pos = model.forward_pair(pos_batch, train=train, rng=rng)
+    neg = model.forward_pair(neg_batch, train=train, rng=rng)
     return hinge_loss(pos, neg)
 
 
@@ -157,6 +157,8 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
     history = []
     best_metric, best_epoch, best_ck = -np.inf, -1, None
     since_best = 0
+    if spec.kind == "rank":
+        groups = group_by_question(tokenize_pairs(train_pairs, vocab, cfg.effective_max_len)[0])
     for epoch in range(cfg.epochs):
         drop_rng = _seed_rng(cfg.seed, 2, epoch)
         if spec.kind == "classify":
@@ -165,7 +167,7 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
             )
             step_iter = [(b, None) for b in batches]
         else:
-            step_iter = _ranking_steps(cfg, train_pairs, vocab, spec, epoch)
+            step_iter = _ranking_steps(cfg, groups, epoch)
         if not step_iter:
             unit = "pair with two non-empty sentences" if spec.kind == "classify" else "question with a positive and a negative"
             raise DataError(f"no training step: the {len(train_pairs)} training records hold no {unit}")
@@ -212,22 +214,20 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
     return TrainResult(history, best_epoch, best_metric, best_ck, model)
 
 
-def _ranking_steps(cfg, train_pairs, vocab, spec, epoch):
-    """Batched (positive, negative) pair lists for one ranking epoch."""
-    groups = group_by_question(_tokenized(train_pairs, vocab, spec, cfg))
+def _ranking_steps(cfg, groups, epoch):
+    """(positive batch, negative batch) steps for one ranking epoch.
+
+    `groups` are the training split's tokenized candidates by question,
+    built once per run.
+    """
     triples = make_ranking_triples(groups, seed=int(_seed_rng(cfg.seed, 4, epoch).integers(2**31)))
     order = _seed_rng(cfg.seed, 5, epoch).permutation(len(triples))
     triples = [triples[i] for i in order]
     steps = []
     for i in range(0, len(triples), cfg.batch_size):
         chunk = triples[i : i + cfg.batch_size]
-        steps.append(([pos for pos, _ in chunk], [neg for _, neg in chunk]))
+        steps.append((_make_batch([pos for pos, _ in chunk]), _make_batch([neg for _, neg in chunk])))
     return steps
-
-
-def _tokenized(pairs, vocab, spec, cfg):
-    tokenized, _ = tokenize_pairs(pairs, vocab, cfg.effective_max_len)
-    return tokenized
 
 
 def evaluate(model, pairs, vocab):
@@ -238,15 +238,14 @@ def evaluate(model, pairs, vocab):
     if spec.kind == "classify":
         preds, labels = [], []
         for batch in batches:
-            for pair in batch.pairs:
-                pred, _ = model.predict_class(pair)
-                preds.append(pred)
-                labels.append(pair.label)
+            preds.extend(np.argmax(model.forward_pair(batch).data, axis=1).tolist())
+            labels.extend(batch.labels.tolist())
         return EvalReport(cfg.task, {"acc": accuracy(preds, labels)}, cfg.fingerprint())
     scored = {}
     for batch in batches:
-        for pair in batch.pairs:
-            scored.setdefault(pair.group_id, []).append((model.score(pair), pair.label == 1))
+        scores = model.forward_pair(batch).data[:, 0]
+        for pair, score in zip(batch.pairs, scores.tolist()):
+            scored.setdefault(pair.group_id, []).append((score, pair.label == 1))
     groups = list(scored.values())
     m, r = map_mrr(groups, include_no_positive=cfg.include_unanswerable)
     fingerprint = cfg.fingerprint()

@@ -233,9 +233,10 @@ def take_rows_dense_grad(n_rows, idx, g):
     """Gradient of a row gather w.r.t. an n_rows-row table, as a dense array.
 
     Scatter-adds every incoming row into a zero table in occurrence
-    order: the engine's original take_rows vector-Jacobian product.
+    order (row-major over `idx`, which may have any shape): the engine's
+    original take_rows vector-Jacobian product.
     """
-    gx = np.zeros((n_rows, g.shape[1]))
+    gx = np.zeros((n_rows, g.shape[-1]))
     np.add.at(gx, np.asarray(idx, dtype=np.intp), g)
     return gx
 

@@ -12,11 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sentmatch
+from sentmatch import cli
 from sentmatch.checkpoint import load_checkpoint, save_checkpoint
 from sentmatch.cli import main
 from sentmatch.config import TrainConfig
 from sentmatch.data import RawPair, read_dataset
-from sentmatch.embedding import read_contextual_cache, write_contextual_cache
+from sentmatch.embedding import Vocab, read_contextual_cache, write_contextual_cache
 from sentmatch.errors import DataError, ParseError
 from sentmatch.synthetic import make_classification_pairs, make_ranking_groups, write_tsv
 from sentmatch.trainer import train
@@ -230,3 +231,35 @@ class TestNothingToTrainOn:
         cfg = TrainConfig(task="wikiqa", static_dim=4, contextual_dim=0, hidden=3, epochs=1, batch_size=4, seed=3)
         with pytest.raises(DataError, match="no training step"):
             train(cfg, pairs)
+
+
+class TestTextArtifacts:
+    """Every text artifact is written to `<path>.tmp` and renamed into place."""
+
+    BAD = "\udcff"  # a lone surrogate: encoding it as UTF-8 fails
+
+    def _write_failing(self, artifact, out, monkeypatch):
+        """Write `artifact` into `out` so that encoding fails after some of its lines."""
+        if artifact == "vocab.txt":
+            Vocab(["good", "bad" + self.BAD, "after"]).save(out / "vocab.txt")
+        elif artifact == "config.txt":
+            cfg = TrainConfig()
+            cfg.pool = "splice" + self.BAD  # a field in the middle of the file
+            cli._echo_config(cfg, out)
+        else:
+            train_tsv = out / "train.tsv"
+            write_tsv(train_tsv, make_classification_pairs(8, seed=5))
+            rows = [("full", "full", 0.5, 0.0), ("no_elmo" + self.BAD, "no_elmo", 0.4, -0.1)]
+            monkeypatch.setattr(cli, "run_ablations", lambda *args, **kwargs: rows)
+            monkeypatch.setattr(cli, "_echo_config", lambda cfg, out_dir: None)
+            main(["ablate", "--train", str(train_tsv), "--dev", str(train_tsv), "--out", str(out), *TINY])
+
+    @pytest.mark.parametrize("artifact", ["vocab.txt", "config.txt", "ablate.txt"])
+    def test_failed_write_leaves_previous_file_intact(self, tmp_path, monkeypatch, artifact):
+        path = _write(tmp_path, artifact, b"previous\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(UnicodeEncodeError):
+            self._write_failing(artifact, tmp_path, monkeypatch)
+        assert path.read_bytes() == b"previous\n"
+        assert not list(tmp_path.glob("*.tmp"))
+        assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".tsv") == before

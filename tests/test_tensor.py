@@ -163,6 +163,40 @@ def _op_cases(rng):
         ("take_rows", _weighted(lambda ins: T.take_rows(ins[0], [2, 0, 2]), ), [b34]),
         ("tile_rows", _weighted(lambda ins: T.tile_rows(ins[0], 4)), [T.parameter(rng.normal(size=(1, 3)))]),
         ("dropout", lambda ins: T.dropout(ins[0], 0.4, np.random.default_rng(7)), [a33]),
+    ] + _batched_op_cases(rng)
+
+
+def _padded_batch(rng, shape, lengths):
+    """(B, n, d) activations whose rows past each item's length are zero, as after masking."""
+    data = rng.normal(size=shape)
+    for item, length in enumerate(lengths):
+        data[item, length:] = 0.0
+    return T.parameter(data)
+
+
+def _batched_op_cases(rng):
+    """3-d cases of the ops that take a leading batch axis: B = 2, the second item padded."""
+    x = _padded_batch(rng, (2, 4, 3), [4, 2])
+    y = _padded_batch(rng, (2, 3, 3), [3, 1])
+    w32 = T.parameter(rng.normal(size=(3, 2)))
+    # masked logits as the attention blocks build them: MASK_OFF on the padded
+    # columns (row softmax) or rows (column softmax) of the second item
+    rows_masked, cols_masked = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+    rows_masked[1, :, 2:] += T.MASK_OFF
+    cols_masked[1, 2:, :] += T.MASK_OFF
+    spread = rng.normal(size=(2, 3, 4)) + np.arange(24).reshape(2, 3, 4) * 0.1 + 0.05
+    return [
+        ("matmul_shared_batched", lambda ins: T.matmul(ins[0], ins[1]), [x, w32]),
+        ("matmul_batched", lambda ins: T.matmul(ins[0], T.transpose(ins[1])), [x, y]),
+        ("transpose_batched", _weighted(lambda ins: T.transpose(ins[0])), [x]),
+        ("reshape_batched", _weighted(lambda ins: T.reshape(ins[0], (2, 1, 12))), [x]),
+        ("conv1d_batched", lambda ins: T.conv1d(ins[0], ins[1]), [x, T.parameter(rng.normal(size=(3, 3, 2)))]),
+        ("softmax_rows_batched", _weighted(lambda ins: T.softmax(ins[0], axis=-1)), [T.parameter(rows_masked)]),
+        ("softmax_cols_batched", _weighted(lambda ins: T.softmax(ins[0], axis=-2)), [T.parameter(cols_masked)]),
+        ("max_along_batched", _weighted(lambda ins: T.max_along(ins[0], axis=-1)), [T.parameter(spread)]),
+        ("max_along_cols_batched", _weighted(lambda ins: T.max_along(ins[0], axis=-2)), [T.parameter(spread.copy())]),
+        ("take_rows_batched", _weighted(lambda ins: T.take_rows(ins[0], [[2, 0, 2], [1, 1, 0]])), [T.parameter(rng.normal(size=(3, 4)))]),
+        ("tile_rows_batched", _weighted(lambda ins: T.tile_rows(ins[0], 3)), [T.parameter(rng.normal(size=(2, 1, 3)))]),
     ]
 
 

@@ -182,6 +182,16 @@ class TestTraining:
         with pytest.raises(NumericalError, match=r"epoch 0 batch 0.*max\|grad\|"):
             train(_tiny_cfg(epochs=1), pairs)
 
+    def test_ranking_split_is_tokenized_once_per_run(self, spy):
+        import sentmatch.data as data_mod
+        import sentmatch.trainer as trainer_mod
+
+        spy(trainer_mod, "tokenize_pairs")
+        spy(data_mod, "tokenize_pairs")
+        result = train(_tiny_cfg(task="wikiqa", epochs=3, batch_size=4, early_stop_patience=0), _ranking_pairs(4, seed=24))
+        assert len(result.history) == 3
+        assert spy.calls == ["tokenize_pairs"]
+
     def test_early_stopping_cuts_the_run_short(self):
         pairs = _classify_pairs(24, seed=6)
         dev = _classify_pairs(12, seed=7)
@@ -221,7 +231,7 @@ class TestEvaluate:
         batches, _ = build_batches(pairs, result.checkpoint.vocab, "wikiqa", 8)
         for batch in batches:
             for pair in batch.pairs:
-                scored[pair.group_id].append((result.model.score(pair), pair.label == 1))
+                scored[pair.group_id].append((float(result.model.forward_pair(pair).data[0, 0]), pair.label == 1))
         expected = map_mrr(list(scored.values()))
         assert (report.metrics["map"], report.metrics["mrr"]) == expected
 
