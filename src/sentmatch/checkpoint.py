@@ -16,7 +16,8 @@ files whose manifest also has an "adam_t" step count and "adam_m" /
 a load reproduces the file byte for byte. Saving is atomic: a file at
 the target path is replaced only by a complete new one. A file that is
 cut short, or whose manifest is not UTF-8 JSON with every expected key,
-known tensor kinds and a valid config, raises ParseError naming the file.
+known tensor kinds and a valid config, or that holds a non-finite
+parameter value, raises ParseError naming the file.
 """
 
 from __future__ import annotations
@@ -102,7 +103,10 @@ def _from_manifest(fh, path, size, manifest):
         count = int(np.prod(shape)) if shape else 1
         raw = _read_exact(fh, count * 8, path, size)
         if kind == "param":
-            params[entry["name"]] = T.Tensor(np.frombuffer(raw, dtype="<f8").reshape(shape).copy(), requires_grad=entry["trainable"])
+            data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(data).all():
+                raise ParseError(f"{path}: tensor {entry['name']!r} holds a non-finite value")
+            params[entry["name"]] = T.Tensor(data, requires_grad=entry["trainable"])
     tokens = manifest["vocab"]
     vocab = Vocab(tokens[2:])
     if vocab.id_to_token != tokens:

@@ -94,10 +94,6 @@ class TrainConfig:
         return dataclasses.asdict(self)
 
     @classmethod
-    def field_names(cls):
-        return [f.name for f in dataclasses.fields(cls)]
-
-    @classmethod
     def from_dict(cls, values):
         cfg = cls()
         cfg.apply(values)

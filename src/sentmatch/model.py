@@ -64,10 +64,6 @@ def param_count(params):
     return sum(t.size for t in params.values())
 
 
-def trainable(params):
-    return {name: t for name, t in params.items() if t.requires_grad}
-
-
 def _sentences(item):
     """(ids, tokens, sid, mask) of both sides of a pair, or of a batch's rows."""
     if isinstance(item, Batch):

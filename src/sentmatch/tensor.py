@@ -7,11 +7,14 @@ the recorded graph once, in reverse topological order, accumulating
 gradients into every node that requires them.
 
 Row gathers (`take_rows`) accumulate row-sparse: each call records only
-the rows it read and their summed gradients, and backward scatters a
-node's records into one dense buffer when the replay reaches that node.
-A lookup into a large table therefore costs work in proportion to the
-rows it touched, not to the table. After `backward()` every `grad` is a
-plain dense ndarray of the node's shape.
+the rows it read and their summed gradients. Backward scatters an
+interior node's records into one dense buffer when the replay reaches
+that node, but leaves a leaf's records in place: a lookup into a large
+table therefore costs work in proportion to the rows it touched, not to
+the table. Reading a leaf's `grad` still gives a plain dense ndarray of
+its shape, built from the records on first read; the optimizer instead
+takes the touched rows from `_grad_rows`, and `rows_sum_squares` gives
+their contribution to the global gradient norm bit for bit.
 
 The engine is deliberately small: arrays of at most 3 dimensions, no
 broadcasting (equal shapes are enforced where the contract says so),
@@ -26,6 +29,8 @@ global tape.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -55,12 +60,14 @@ class Tensor:
     from their parents.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_rows")
+    __slots__ = ("data", "_grad", "requires_grad", "_parents", "_vjp", "_rows")
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None):
         self.data = _asarray(data)
-        self.grad = None
-        self._rows = None  # pending (rows, values) records, see _accumulate_rows
+        self._grad = None
+        # pending row-sparse gradient: a list of take_rows records (see
+        # _accumulate_rows), or one coalesced (rows, values) tuple (see _grad_rows)
+        self._rows = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._vjp = _vjp
@@ -80,8 +87,17 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data.copy())
+    @property
+    def grad(self):
+        """The dense gradient, or None; pending row records are scattered into it on first read."""
+        if self._rows is not None:
+            _flush_rows(self)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
+        self._rows = None
 
     def backward(self):
         """Propagate gradients from this scalar through the graph.
@@ -89,7 +105,8 @@ class Tensor:
         Visits each recorded node exactly once, children before parents.
         Gradients of every node reachable through grad-requiring edges are
         reset first, so repeated backward calls on disjoint graphs do not
-        leak accumulation across calls.
+        leak accumulation across calls. Leaves keep their row records
+        (see the module docstring).
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
@@ -109,28 +126,15 @@ class Tensor:
                 topo.append(node)
                 stack.pop()
         for node in topo:
-            node.grad = None
+            node._grad = None
             node._rows = None
-        self.grad = np.ones_like(self.data)
+        self._grad = np.ones_like(self.data)
         for node in reversed(topo):
-            # every consumer of `node` has fired by now, so its records are complete
-            if node._rows is not None:
-                _flush_rows(node)
             if node._vjp is not None:
-                node._vjp(node.grad)
-
-    # Operator sugar; the module-level functions are the real API.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+                # every consumer of `node` has fired by now, so its records are complete
+                if node._rows is not None:
+                    _flush_rows(node)
+                node._vjp(node._grad)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -140,7 +144,7 @@ def _accumulate(t, g):
     if t.requires_grad:
         if t._rows is not None:
             _flush_rows(t)
-        t.grad = g if t.grad is None else t.grad + g
+        t._grad = g if t._grad is None else t._grad + g
 
 
 def _accumulate_rows(t, rows, values):
@@ -156,7 +160,7 @@ def _accumulate_rows(t, rows, values):
     contribution, the record is scattered densely instead, because that
     `+ 0.0` turns a -0.0 entry of the dense gradient into +0.0.
     """
-    if t.grad is None:
+    if t._grad is None:
         if t._rows is None:
             t._rows = []
         t._rows.append((rows, values))
@@ -174,7 +178,143 @@ def _scatter_rows(shape, records):
 def _flush_rows(t):
     """Turn `t`'s pending row records into its dense gradient."""
     records, t._rows = t._rows, None
-    t.grad = _scatter_rows(t.shape, records)
+    if isinstance(records, tuple):
+        rows, values = records
+        t._grad = np.zeros(t.shape)
+        t._grad[rows] = values
+    else:
+        t._grad = _scatter_rows(t.shape, records)
+
+
+def _grad_rows(t):
+    """`t`'s pending row-sparse gradient as (rows, values), or None.
+
+    `rows` are sorted and unique, and `values` holds their rows of the
+    dense gradient bit for bit: each is a sum begun at +0.0 over the
+    records in order, as the dense scatter makes it. The coalesced pair
+    replaces the records on `t`, so `grad` and later calls read the same
+    values; `values` belongs to `t` and may be scaled in place. None
+    when `t` has no records (its gradient, if any, is dense).
+    """
+    records = t._rows
+    if records is None or isinstance(records, tuple):
+        return records
+    rows = np.unique(np.concatenate([r for r, _ in records]))
+    values = np.zeros((rows.size, t.shape[1]))
+    for r, v in records:
+        values[np.searchsorted(rows, r)] += v
+    t._rows = (rows, values)
+    return t._rows
+
+
+_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE: longest run summed without splitting
+
+
+@functools.lru_cache(maxsize=8)
+def _pairwise_tree(n):
+    """The tree in which numpy's `np.sum` adds n contiguous float64 values.
+
+    numpy sums a run of more than 128 values as the sum of its first
+    `n2 = n//2 - (n//2) % 8` values plus the rest, recursively. Nodes are
+    numbered by level: level 0 is the whole run, and level k+1 holds the
+    two halves, left then right, of each level-k node that splits, in
+    order. `splits[k]` are the level-k numbers of the nodes that split,
+    so nodes 2i and 2i+1 of level k+1 are the halves of `splits[k][i]`.
+    Returns `splits` and, sorted by position, the leaves' first
+    position, length, level and number.
+    """
+    starts, lens = np.zeros(1, dtype=np.intp), np.array([n], dtype=np.intp)
+    splits, leaves = [], []
+    while starts.size:
+        split = lens > _PAIRWISE_BLOCK
+        leaf = np.flatnonzero(~split)
+        leaves.append((starts[leaf], lens[leaf], np.full(leaf.size, len(splits)), leaf))
+        splits.append(np.flatnonzero(split))
+        s, l = starts[split], lens[split]
+        half = l // 2 - (l // 2) % 8
+        starts = np.stack([s, s + half], axis=1).reshape(-1)
+        lens = np.stack([half, l - half], axis=1).reshape(-1)
+    start, length, level, index = (np.concatenate(parts) for parts in zip(*leaves))
+    order = np.argsort(start)
+    leaves = [start[order], length[order], level[order], index[order]]
+    for arr in splits + leaves:
+        arr.flags.writeable = False  # cached: every caller shares these arrays
+    return splits, *leaves
+
+
+def _leaf_sums(x):
+    """numpy's sum of each row of `x`, a run of at most 128 values, bit for bit.
+
+    Fewer than 8 values are added in order (numpy starts at -0.0, which
+    adding the first value absorbs); longer runs go through 8 strided
+    accumulators, combined pairwise, and then the tail past the last
+    multiple of 8 is added in order.
+    """
+    n = x.shape[1]
+    if n < 8:
+        res = x[:, 0].copy()
+        for j in range(1, n):
+            res += x[:, j]
+        return res
+    body = n - n % 8
+    r = x[:, :8].copy()
+    for i in range(8, body, 8):
+        r += x[:, i:i + 8]
+    res = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    for j in range(body, n):
+        res += x[:, j]
+    return res
+
+
+def rows_sum_squares(shape, rows, values):
+    """`float(np.sum(g * g))` for the (V, d) array g that is zero outside `rows`.
+
+    `rows` are sorted and unique and `values` are their rows of g. The
+    result equals the dense sum bit for bit at a cost in proportion to
+    the touched rows: numpy adds the flattened g in a fixed pairwise
+    tree (`_pairwise_tree`), a leaf with no touched value sums to exactly
+    +0.0, and adding +0.0 to a sum of squares leaves it unchanged, so
+    only the leaves that overlap touched rows are summed and then
+    combined in the tree's order.
+    """
+    n_rows, d = shape
+    if rows.size == 0 or d == 0:
+        return 0.0
+    splits, leaf_start, leaf_len, leaf_level, leaf_index = _pairwise_tree(n_rows * d)
+    # leaves overlapping each row's elements [row*d, row*d + d)
+    first = np.searchsorted(leaf_start, rows * d, "right") - 1
+    last = np.searchsorted(leaf_start, rows * d + (d - 1), "right") - 1
+    count = last - first + 1
+    ramp = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    leaves = np.unique(np.repeat(first, count) + ramp)
+    # the touched leaves back to back, squares in place and zeros elsewhere;
+    # a row's leaves are consecutive, so its elements stay contiguous
+    lens = leaf_len[leaves]
+    offsets = np.cumsum(lens) - lens
+    packed = np.zeros(int(lens.sum()))
+    row_at = offsets[np.searchsorted(leaves, first)] + (rows * d - leaf_start[first])
+    packed[row_at[:, None] + np.arange(d)] = values * values
+    sums = np.empty(leaves.size)
+    for n in np.unique(lens).tolist():
+        sel = np.flatnonzero(lens == n)
+        sums[sel] = _leaf_sums(packed[offsets[sel][:, None] + np.arange(n)])
+    # fold bottom-up; a node missing a child takes the other's sum unchanged
+    levels, indices = leaf_level[leaves], leaf_index[leaves]
+    idx, val = np.empty(0, dtype=np.intp), np.empty(0)
+    for level in range(len(splits) - 1, -1, -1):
+        if idx.size:
+            parent = idx // 2
+            pair = np.flatnonzero(parent[1:] == parent[:-1])  # left child at i, right at i + 1
+            val[pair] = val[pair] + val[pair + 1]
+            keep = np.ones(idx.size, dtype=bool)
+            keep[pair + 1] = False
+            idx, val = splits[level][parent[keep]], val[keep]
+        here = levels == level
+        idx = np.concatenate([idx, indices[here]])
+        val = np.concatenate([val, sums[here]])
+        order = np.argsort(idx)
+        idx, val = idx[order], val[order]
+    return float(val[0])
 
 
 def constant(data):
@@ -482,9 +622,10 @@ def take_rows(x, indices):
     The gradient is accumulated row-sparse: rows read more than once
     have their incoming gradients summed in occurrence order (row-major
     over `indices`), and only the unique rows and those sums are
-    recorded on `x`. `x.grad` is still dense after `backward()`, equal
-    bit for bit to scatter-adding every call's gradient into a zero
-    table.
+    recorded on `x`. If `x` is a leaf the records outlive `backward()`;
+    reading `x.grad` gives the dense array, equal bit for bit to
+    scatter-adding every call's gradient into a zero table, and
+    `_grad_rows(x)` gives just its touched rows.
     """
     if x.ndim != 2:
         raise ShapeError(f"take_rows expects 2-d, got {x.shape}")

@@ -11,6 +11,7 @@ the loss history and the resulting checkpoint bitwise.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ from .embedding import random_static_vectors
 from .errors import DataError, NumericalError
 from .heads import cross_entropy, hinge_loss
 from .metrics import accuracy, map_mrr
-from .model import MatchModel, init_params, trainable
+from .model import MatchModel, init_params
 
 
 @dataclass
@@ -54,21 +55,28 @@ def _seed_rng(*entropy):
     return np.random.default_rng(np.random.SeedSequence(list(entropy)))
 
 
-def adam_step(params, state_m, state_v, t, cfg):
+def adam_step(params, state_m, state_v, t, cfg, live):
     """One bias-corrected Adam update over every trainable tensor.
 
     Tensors without a gradient this step keep their value; their moments
     still decay toward zero, matching the recurrences run with g = 0.
 
     The step consumes the gradients: each `p.grad` is None afterwards,
-    released before the update allocates. The moment arrays in
-    `state_m` / `state_v` are updated in place, and `p.data` is replaced
-    by a fresh array (never written through), so references to earlier
-    `p.data` arrays stay valid. Each tensor
-    costs two scratch arrays; the IEEE operations and their order are
-    those of `m = beta1*m + (1-beta1)*g`, `v = beta2*v + ((1-beta2)*g)*g`
+    released before the update allocates. `p.data` and the moment arrays
+    in `state_m` / `state_v` are updated in place (a reference to an
+    earlier `p.data` sees the update). The IEEE operations and their order
+    are those of `m = beta1*m + (1-beta1)*g`, `v = beta2*v + ((1-beta2)*g)*g`
     and `p - (lr*(m/c1)) / (sqrt(v/c2) + eps)`, so results match that
     expression bit for bit.
+
+    `live` is optimizer state like the moments: start it as an empty
+    dict with moments of zero and pass the same dict at every step. It
+    holds, by name, the live rows of each tensor with a row-sparse
+    gradient (rows given a gradient at some step), and only those rows
+    are updated; None marks a tensor updated whole from then on. The
+    skip is exact: a row with zero moments and no gradient never moves.
+    Raises NumericalError naming the first tensor whose updated values
+    are not all finite.
     """
     c1 = 1.0 - cfg.beta1**t
     c2 = 1.0 - cfg.beta2**t
@@ -76,7 +84,14 @@ def adam_step(params, state_m, state_v, t, cfg):
         p = params[name]
         if not p.requires_grad:
             continue
-        g, m, v = p.grad, state_m[name], state_v[name]
+        rows = _rows_to_update(p, name, live)
+        if rows is None:
+            x, m, v, g = p.data, state_m[name], state_v[name], p.grad
+        elif rows.size == 0:
+            continue
+        else:
+            x, m, v, g = p.data[rows], state_m[name][rows], state_v[name][rows], _grad_of_rows(p, rows)
+        p.grad = None
         scratch = np.empty_like(m)
         m *= cfg.beta1
         v *= cfg.beta2
@@ -90,29 +105,82 @@ def adam_step(params, state_m, state_v, t, cfg):
             np.multiply(g, 1.0 - cfg.beta2, out=scratch)
             scratch *= g
             v += scratch
-            g = p.grad = None
+            g = None
         denom = np.divide(v, c2, out=scratch)
         np.sqrt(denom, out=denom)
         denom += cfg.adam_eps
         step = np.divide(m, c1, out=np.empty_like(m))
         step *= cfg.lr
         step /= denom
-        p.data = np.subtract(p.data, step, out=step)
+        np.subtract(x, step, out=x)
+        if rows is not None:
+            p.data[rows], state_m[name][rows], state_v[name][rows] = x, m, v
+        if not np.isfinite(x).all():
+            raise NumericalError(f"parameter {name} is non-finite after Adam step {t}")
 
 
-def clip_gradients(params, max_norm):
-    """Scale all gradients so their joint norm is at most `max_norm`."""
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+def _sparse_grad(p, name, live):
+    """`p`'s coalesced (rows, values) gradient, or None when Adam updates `p` whole or it has none."""
+    if name in live and live[name] is None:
+        return None
+    return T._grad_rows(p)
+
+
+def _rows_to_update(p, name, live):
+    """The rows of `p` this Adam step updates, also recorded in `live`; None for the whole tensor."""
+    if name in live and live[name] is None:
+        return None
+    record = T._grad_rows(p)
+    if record is None and p.grad is not None:
+        live[name] = None  # a dense gradient may move every row from now on
+        return None
+    rows = live.get(name, _NO_ROWS)
+    if record is not None:
+        rows = np.union1d(rows, record[0])
+    # from about half the table on, gathering and scattering the rows costs as much as a whole update
+    live[name] = rows if 2 * rows.size <= p.shape[0] else None
+    return live[name]
+
+
+def _grad_of_rows(p, rows):
+    """`p`'s gradient on `rows` (a superset of its touched rows), or None without one."""
+    record = T._grad_rows(p)
+    if record is None:
+        return None
+    g = np.zeros((rows.size,) + p.shape[1:])
+    g[np.searchsorted(rows, record[0])] = record[1]
+    return g
+
+
+def clip_gradients(params, max_norm, live):
+    """Scale all gradients so their joint norm is at most `max_norm`.
+
+    The norm is the one the dense gradients give bit for bit. `live` is
+    `adam_step`'s state: a row-sparse gradient of a tensor that Adam
+    still updates by rows is squared and scaled on its touched rows
+    only; every other gradient is taken dense.
+    """
     total = 0.0
     for name in sorted(params):
-        g = params[name].grad
-        if g is not None:
-            total += float(np.sum(g * g))
+        p = params[name]
+        record = _sparse_grad(p, name, live)
+        if record is not None:
+            total += T.rows_sum_squares(p.shape, *record)
+        elif p.grad is not None:
+            total += float(np.sum(p.grad * p.grad))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for name in sorted(params):
-            if params[name].grad is not None:
-                params[name].grad = params[name].grad * scale
+            p = params[name]
+            record = _sparse_grad(p, name, live)
+            if record is not None:
+                np.multiply(record[1], scale, out=record[1])
+            elif p.grad is not None:
+                p.grad = p.grad * scale
     return norm
 
 
@@ -150,8 +218,9 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
         static_matrix = random_static_vectors(vocab, cfg.static_dim, seed=cfg.seed)
     params = init_params(cfg, static_matrix, seed=int(_seed_rng(cfg.seed, 0).integers(2**31)))
     model = MatchModel(cfg, params, provider=provider)
-    m_state = {n: np.zeros_like(t.data) for n, t in params.items() if t.requires_grad}
-    v_state = {n: np.zeros_like(t.data) for n, t in params.items() if t.requires_grad}
+    m_state = {n: _untouched_zeros(t.shape) for n, t in params.items() if t.requires_grad}
+    v_state = {n: _untouched_zeros(t.shape) for n, t in params.items() if t.requires_grad}
+    live = {}
     adam_t = 0
 
     history = []
@@ -183,9 +252,12 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
                     f"non-finite loss at epoch {epoch} batch {batch_idx}: "
                     f"loss={float(loss.data)!r}, max|grad|={_max_abs_grad(params)!r}"
                 )
-            clip_gradients(params, cfg.grad_clip)
+            clip_gradients(params, cfg.grad_clip, live)
             adam_t += 1
-            adam_step(params, m_state, v_state, adam_t, cfg)
+            try:
+                adam_step(params, m_state, v_state, adam_t, cfg, live)
+            except NumericalError as exc:
+                raise NumericalError(f"epoch {epoch} batch {batch_idx}: {exc}") from None
             losses.append(float(loss.data))
         # wall time stays out of the record: history must be reproducible bitwise
         record = {
@@ -212,6 +284,18 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
         best_ck = _snapshot(model, cfg.epochs - 1, vocab, history)
     best_ck.history = history
     return TrainResult(history, best_epoch, best_metric, best_ck, model)
+
+
+def _untouched_zeros(shape):
+    """A float64 zero array whose memory is committed only where it is written.
+
+    Adam writes the moments of live table rows only. numpy's own large
+    arrays are advised onto 2 MB huge pages, so scattered row writes
+    into `np.zeros` would fault in and clear nearly the whole array; an
+    anonymous mapping faults in 4 KB pages as rows are written.
+    """
+    count = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), dtype=np.float64, count=count).reshape(shape)
 
 
 def _ranking_steps(cfg, groups, epoch):
@@ -260,9 +344,8 @@ def evaluate_checkpoint(ck, pairs, provider=None):
 
 
 def _snapshot(model, epoch, vocab, history):
-    # adam_step replaces parameter arrays instead of writing through them,
-    # so the snapshot can share them
-    params = {name: T.Tensor(t.data, requires_grad=t.requires_grad) for name, t in model.params.items()}
+    # adam_step writes through the model's parameter arrays, so the snapshot copies them
+    params = {name: T.Tensor(t.data.copy(), requires_grad=t.requires_grad) for name, t in model.params.items()}
     return Checkpoint(params=params, epoch=epoch, config=model.cfg, vocab=vocab, history=list(history))
 
 

@@ -229,6 +229,32 @@ def adam_dense(x, m, v, g, t, lr, beta1, beta2, eps):
     return x - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
 
+def clip_gradients_dense(params, max_norm):
+    """The engine's original global-norm clip over dense gradients."""
+    total = 0.0
+    for name in sorted(params):
+        g = params[name].grad
+        if g is not None:
+            total += float(np.sum(g * g))
+    norm = float(np.sqrt(total))
+    if max_norm > 0 and norm > max_norm:
+        scale = max_norm / norm
+        for name in sorted(params):
+            if params[name].grad is not None:
+                params[name].grad = params[name].grad * scale
+    return norm
+
+
+def adam_step_dense(params, state_m, state_v, t, cfg):
+    """`adam_dense` over every trainable tensor and its dense gradient, updated whole."""
+    for name in sorted(params):
+        p = params[name]
+        if p.requires_grad:
+            p.data, m, v = adam_dense(p.data, state_m[name], state_v[name], p.grad, t, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            state_m[name][...], state_v[name][...] = m, v
+            p.grad = None
+
+
 def take_rows_dense_grad(n_rows, idx, g):
     """Gradient of a row gather w.r.t. an n_rows-row table, as a dense array.
 

@@ -24,6 +24,7 @@ from sentmatch.trainer import train
 
 import oracles
 
+DATA = Path(__file__).resolve().parents[1] / "data"
 TINY = ["--static_dim", "12", "--contextual_dim", "0", "--hidden", "8", "--epochs", "1", "--batch_size", "16", "--seed", "3"]
 LABELS = {"entailment": 0, "contradiction": 1, "neutral": 2}
 
@@ -76,16 +77,21 @@ def _write(tmp_path, name, blob):
     return path
 
 
-def _assert_cli_fails(code, culprit, *argv):
-    """Run the CLI in a fresh interpreter: exit `code`, one `error:` line naming `culprit`, no traceback."""
+def _run_cli(*argv):
+    """Run the CLI in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(sentmatch.__file__).resolve().parents[1]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "sentmatch.cli", *map(str, argv)],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def _assert_cli_fails(code, culprit, *argv):
+    """Run the CLI in a fresh interpreter: exit `code`, one `error:` line naming `culprit`, no traceback."""
+    proc = _run_cli(*argv)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith("error:") and str(culprit) in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -213,6 +219,32 @@ class TestTextInputs:
         path = _write(tmp_path, "input.txt", content)
         argv = ["train", "--train", train_tsv, "--out", tmp_path / "run", "--quiet", *TINY, "--static_dim", "2", flag, path]
         _assert_cli_fails(code, f"{path}:{line}: not valid UTF-8", *argv)
+
+
+class TestNonFiniteWeights:
+    ARGS = ["--task", "snli", "--hidden", "8", "--static_dim", "8", "--contextual_dim", "0", "--epochs", "1", "--batch_size", "16"]
+
+    def test_training_into_overflow_exits_3_and_writes_no_artifacts(self, tmp_path):
+        out = tmp_path / "run"
+        proc = _run_cli("train", "--train", DATA / "tiny_train.tsv", *self.ARGS, "--lr", "1e308", "--grad_clip", "0", "--out", out)
+        assert proc.returncode == 3, proc.stderr
+        # numpy's overflow warnings come first; the last line is the abort
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith("error: epoch 0 batch ") and "is non-finite after Adam step" in last
+        assert "Traceback" not in proc.stderr
+        assert not (out / "checkpoint.bin").exists() and not (out / "history.json").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_eval_on_a_non_finite_checkpoint_exits_2_naming_the_tensor(self, tmp_path, bad):
+        out = tmp_path / "run"
+        proc = _run_cli("train", "--train", DATA / "tiny_train.tsv", *self.ARGS, "--out", out, "--quiet")
+        assert proc.returncode == 0, proc.stderr
+        ck = load_checkpoint(out / "checkpoint.bin")
+        ck.params["enc.w_in"].data[1, 2] = bad
+        save_checkpoint(out / "checkpoint.bin", ck)
+        with pytest.raises(ParseError, match="'enc.w_in' holds a non-finite value"):
+            load_checkpoint(out / "checkpoint.bin")
+        _assert_cli_fails(2, "'enc.w_in' holds a non-finite value", "eval", "--checkpoint", out / "checkpoint.bin", "--data", DATA / "tiny_dev.tsv")
 
 
 class TestNothingToTrainOn:

@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sentmatch import tensor as T
 from sentmatch.errors import ConfigError, NumericalError, ShapeError
@@ -329,6 +330,21 @@ class TestRowSparseGather:
         assert grads[0].tobytes() == grads[1].tobytes()
         assert not np.signbit(grads[0]).any()
 
+    @pytest.mark.parametrize("mix_dense", [False, True])
+    def test_leaf_keeps_its_rows_until_grad_is_read(self, rng, mix_dense):
+        table_data, w_data = rng.normal(size=(10, 4)), rng.normal(size=(4, 4))
+        want = T.parameter(table_data.copy())
+        _gather_graph(dense_take_rows, want, T.parameter(w_data.copy()), mix_dense)[0].backward()
+        table = T.parameter(table_data.copy())
+        _gather_graph(T.take_rows, table, T.parameter(w_data.copy()), mix_dense)[0].backward()
+        rows, values = T._grad_rows(table)
+        touched = sorted({i % 10 for ids in SENTENCES for i in ids})
+        assert rows.tolist() == touched
+        assert values.tobytes() == want.grad[rows].tobytes()
+        assert T._grad_rows(table)[1] is values, "coalesced once, then kept"
+        assert table.grad.tobytes() == want.grad.tobytes()
+        assert T._grad_rows(table) is None, "reading grad turns the rows dense"
+
     def test_backward_memory_does_not_scale_with_lookups(self, rng):
         table = T.parameter(rng.normal(size=(20000, 32)))
         lookups = [T.take_rows(table, rng.integers(0, 20000, size=12)) for _ in range(40)]
@@ -343,3 +359,63 @@ class TestRowSparseGather:
         assert type(table.grad) is np.ndarray
         # one dense gradient buffer plus small per-lookup records
         assert peak < 1.5 * table.data.nbytes, f"backward peaked at {peak / table.data.nbytes:.2f} table sizes"
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+# magnitudes from 1e-150 to 1e150 with both signs, and both zeros
+_SPREAD = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-150, 150)),
+)
+
+
+@st.composite
+def _row_sparse_gradients(draw):
+    """A (V, d) table shape, sorted unique touched rows and their values."""
+    d = draw(st.one_of(st.integers(1, 7), st.integers(8, 40), st.sampled_from([8, 16, 100])))
+    n_rows = draw(st.one_of(st.just(1), st.integers(1, 128 // d + 1), st.integers(2, 300)))
+    # rows holding the first and the last value and both sides of every numpy summation leaf boundary
+    leaf_start = T._pairwise_tree(n_rows * d)[1].tolist()
+    edges = sorted({0, n_rows - 1} | {s // d for s in leaf_start} | {(s - 1) // d for s in leaf_start[1:]})
+    picks = st.one_of(st.sampled_from(edges), st.integers(0, n_rows - 1))
+    rows = np.array(sorted(draw(st.sets(picks, min_size=1, max_size=min(n_rows, 24)))), dtype=np.intp)
+    # values of one magnitude round differently under another summation order
+    elements = draw(st.sampled_from([_SPREAD, st.floats(-10.0, 10.0)]))
+    values = draw(hnp.arrays(np.float64, (rows.size, d), elements=elements))
+    return (n_rows, d), rows, values
+
+
+class TestRowSumSquares:
+    @settings(max_examples=100)
+    @given(_row_sparse_gradients())
+    def test_bitwise_the_dense_sum(self, case):
+        shape, rows, values = case
+        g = np.zeros(shape)
+        g[rows] = values
+        assert _bits(T.rows_sum_squares(shape, rows, values)) == _bits(float(np.sum(g * g)))
+
+    @pytest.mark.parametrize("d", [1, 3, 7, 8, 9, 13, 16, 33])
+    def test_bitwise_the_dense_sum_on_small_tables(self, rng, d):
+        for n_rows in range(1, 40):
+            rows = np.flatnonzero(rng.random(n_rows) < 0.6)
+            rows = np.union1d(rows, [n_rows - 1])
+            values = rng.normal(size=(rows.size, d))
+            g = np.zeros((n_rows, d))
+            g[rows] = values
+            assert _bits(T.rows_sum_squares(g.shape, rows, values)) == _bits(float(np.sum(g * g))), (n_rows, d)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_the_dense_sum_at_paper_widths(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (40400, 300)
+        rows = np.unique(np.concatenate([[0, shape[0] - 1], rng.integers(0, shape[0], size=600)]))
+        values = rng.normal(size=(rows.size, shape[1])) * 10.0 ** rng.uniform(-100, 100, size=(rows.size, 1))
+        g = np.zeros(shape)
+        g[rows] = values
+        assert _bits(T.rows_sum_squares(shape, rows, values)) == _bits(float(np.sum(g * g)))
+
+    def test_no_rows_sum_to_zero(self):
+        assert _bits(T.rows_sum_squares((5, 3), np.empty(0, dtype=np.intp), np.empty((0, 3)))) == _bits(0.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from sentmatch import tensor as T
 from sentmatch.checkpoint import load_checkpoint, save_checkpoint
 from sentmatch.config import TrainConfig
-from sentmatch.data import RawPair
+from sentmatch.data import RawPair, build_vocab
+from sentmatch.embedding import StubContextualProvider, Vocab
 from sentmatch.errors import NumericalError
 from sentmatch.metrics import map_mrr
 from sentmatch.synthetic import make_classification_pairs, make_ranking_groups
+import sentmatch.trainer as trainer_mod
 from sentmatch.trainer import _snapshot, adam_step, clip_gradients, evaluate, evaluate_checkpoint, run_ablations, train
 
 import oracles
@@ -42,7 +45,7 @@ class TestAdam:
         params = {"w": p}
         m = {"w": np.zeros((2, 2))}
         v = {"w": np.zeros((2, 2))}
-        adam_step(params, m, v, t=1, cfg=cfg)
+        adam_step(params, m, v, t=1, cfg=cfg, live={})
         # bias correction makes the first update lr * g / (|g| + eps)
         np.testing.assert_allclose(p.data, -cfg.lr * np.sign(3.7), rtol=1e-6)
 
@@ -53,8 +56,9 @@ class TestAdam:
         params = {"w": p}
         m = {"w": np.zeros((2, 2))}
         v = {"w": np.zeros((2, 2))}
+        live = {}
         for t in range(1, 4):
-            adam_step(params, m, v, t=t, cfg=cfg)
+            adam_step(params, m, v, t=t, cfg=cfg, live=live)
         np.testing.assert_array_equal(p.data, np.ones((2, 2)) * 5.0)
         np.testing.assert_array_equal(m["w"], np.zeros((2, 2)))
 
@@ -65,9 +69,10 @@ class TestAdam:
         params = {"w": p}
         m = {"w": np.zeros((1, 1))}
         v = {"w": np.zeros((1, 1))}
+        live = {}
         for t, g in enumerate(grads, start=1):
             p.grad = np.array([[g]])
-            adam_step(params, m, v, t=t, cfg=cfg)
+            adam_step(params, m, v, t=t, cfg=cfg, live=live)
         x, om, ov = oracles.adam_scalar(grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         assert abs(p.data[0, 0] - x) <= 1e-12
         assert abs(m["w"][0, 0] - om) <= 1e-12
@@ -80,13 +85,14 @@ class TestAdam:
         m = {n: np.zeros(s) for n, s in shapes.items()}
         v = {n: np.zeros(s) for n, s in shapes.items()}
         ref = {n: (p.data.copy(), np.zeros(shapes[n]), np.zeros(shapes[n])) for n, p in params.items()}
+        live = {}
         for t in range(1, 8):
             for n, p in params.items():
                 p.grad = None if (t + len(n)) % 3 == 0 else rng.normal(size=shapes[n])
                 if p.grad is not None:
                     p.grad.reshape(-1)[:2] = [0.0, -0.0]
                 ref[n] = oracles.adam_dense(*ref[n], p.grad, t, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-            adam_step(params, m, v, t=t, cfg=cfg)
+            adam_step(params, m, v, t=t, cfg=cfg, live=live)
             for n, p in params.items():
                 assert p.grad is None, "the step consumes the gradient"
                 want_x, want_m, want_v = ref[n]
@@ -99,11 +105,12 @@ class TestAdam:
         model, cfg = result.model, result.model.cfg
         m = {n: np.zeros_like(t.data) for n, t in model.params.items() if t.requires_grad}
         v = {n: np.zeros_like(t.data) for n, t in model.params.items() if t.requires_grad}
+        live = {}
 
         def step(t):
             for p in model.params.values():
                 p.grad = rng.normal(size=p.shape)
-            adam_step(model.params, m, v, t=t, cfg=cfg)
+            adam_step(model.params, m, v, t=t, cfg=cfg, live=live)
 
         step(1)
         ck = _snapshot(model, 0, result.checkpoint.vocab, [])
@@ -112,10 +119,10 @@ class TestAdam:
             return [t.data.tobytes() for t in ck.params.values()]
 
         before = saved_bytes()
-        live = model.params["embed.static"].data.tobytes()
+        table = model.params["embed.static"].data.tobytes()
         for t in (2, 3):
             step(t)
-        assert model.params["embed.static"].data.tobytes() != live
+        assert model.params["embed.static"].data.tobytes() != table
         assert saved_bytes() == before
 
     def test_clip_rescales_to_maximum_norm(self):
@@ -124,10 +131,149 @@ class TestAdam:
         p1.grad = np.full(3, 10.0)
         p2.grad = np.full(4, 10.0)
         params = {"a": p1, "b": p2}
-        norm = clip_gradients(params, max_norm=5.0)
+        norm = clip_gradients(params, max_norm=5.0, live={})
         assert norm > 5.0
         total = np.sqrt(sum(float(np.sum(p.grad**2)) for p in params.values()))
         assert abs(total - 5.0) <= 1e-9
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_update_names_the_parameter(self):
+        cfg = _tiny_cfg(lr=1e308)
+        params = {"a": T.parameter(np.zeros((2, 2))), "b": T.parameter(np.full((2, 2), -1e308))}
+        for p in params.values():
+            p.grad = np.ones((2, 2))
+        m = {n: np.zeros((2, 2)) for n in params}
+        v = {n: np.zeros((2, 2)) for n in params}
+        with pytest.raises(NumericalError, match=r"parameter b is non-finite after Adam step 1"):
+            adam_step(params, m, v, t=1, cfg=cfg, live={})
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_row_update_names_the_table(self):
+        cfg = _tiny_cfg(lr=1e308)
+        table = T.parameter(np.full((10, 2), -1e308))
+        T.sum_all(T.take_rows(table, [3])).backward()
+        with pytest.raises(NumericalError, match=r"parameter embed.static is non-finite after Adam step 1"):
+            adam_step({"embed.static": table}, {"embed.static": np.zeros((10, 2))}, {"embed.static": np.zeros((10, 2))}, t=1, cfg=cfg, live={})
+
+
+# one step each: (ids of two lookups into "a", ids into "b", whether "b" also
+# takes a dense gradient, clip norm); rows enter, repeat within and across
+# lookups, and go quiet, and both tables have quiet steps
+ROW_PLAN = [
+    ([3, 7, 7], [7, 12], [0, 29], False, 0.5),
+    ([3], [20, 21], [], False, 0.0),
+    ([], [], [4], False, 0.5),
+    ([0, 39], [39], [4, 4], False, 0.0),
+    ([12], [12], [1], True, 0.5),
+    ([30, 31, 32], [], [2], False, 0.0),
+    ([], [], [], False, 0.0),
+    ([7], [8], [2, 5], False, 0.5),
+]
+
+
+def _plan_loss(params, gather, ids_a1, ids_a2, ids_b, dense_b):
+    weights = np.array([[0.5, -0.0, 2.0]])
+    parts = [T.sum_all(T.tanh(T.matmul(gather(params["a"], ids), params["w"]))) for ids in (ids_a1, ids_a2) if ids]
+    if ids_b:
+        parts.append(T.sum_all(T.mul(gather(params["b"], ids_b), T.constant(np.repeat(weights, len(ids_b), axis=0)))))
+    if dense_b:
+        parts.append(T.sum_all(T.mul(params["b"], T.constant(np.full((30, 3), 0.1)))))
+    loss = None
+    for part in parts:
+        loss = part if loss is None else T.add(loss, part)
+    return loss
+
+
+class TestRowSparseAdam:
+    def test_live_rows_are_bitwise_the_dense_expression(self, rng):
+        cfg = _tiny_cfg(lr=0.01)
+        shapes = {"a": (40, 4), "b": (30, 3), "w": (4, 3)}
+        params = {n: T.parameter(rng.normal(size=s)) for n, s in shapes.items()}
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        ref = {n: (p.data.copy(), np.zeros(shapes[n]), np.zeros(shapes[n])) for n, p in params.items()}
+        live, seen = {}, set()
+        for t, (ids_a1, ids_a2, ids_b, dense_b, clip) in enumerate(ROW_PLAN, start=1):
+            ref_params = {n: T.parameter(ref[n][0].copy()) for n in shapes}
+            loss = _plan_loss(params, T.take_rows, ids_a1, ids_a2, ids_b, dense_b)
+            ref_loss = _plan_loss(ref_params, dense_take_rows, ids_a1, ids_a2, ids_b, dense_b)
+            if loss is not None:
+                loss.backward()
+                ref_loss.backward()
+            assert clip_gradients(params, clip, live) == oracles.clip_gradients_dense(ref_params, clip)
+            for n in shapes:
+                ref[n] = oracles.adam_dense(*ref[n], ref_params[n].grad, t, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            adam_step(params, m, v, t=t, cfg=cfg, live=live)
+            for n, p in params.items():
+                assert p.grad is None, "the step consumes the gradient"
+                want_x, want_m, want_v = ref[n]
+                assert p.data.tobytes() == want_x.tobytes(), f"{n} step {t}"
+                assert m[n].tobytes() == want_m.tobytes() and v[n].tobytes() == want_v.tobytes(), f"{n} step {t}"
+            seen |= set(ids_a1) | set(ids_a2)
+            assert live["a"].tolist() == sorted(seen), "table a stays row-sparse"
+        assert live["b"] is None, "a dense gradient makes every row live"
+
+    def test_snapshot_survives_later_in_place_row_updates(self):
+        pairs = _classify_pairs(12, seed=15)
+        result = train(_tiny_cfg(epochs=1), pairs)
+        model, cfg = result.model, result.model.cfg
+        table = model.params["embed.static"]
+        m = {n: np.zeros(t.shape) for n, t in model.params.items() if t.requires_grad}
+        v = {n: np.zeros(t.shape) for n, t in model.params.items() if t.requires_grad}
+        live = {}
+
+        def step(t, ids):
+            T.sum_all(T.tanh(T.take_rows(table, ids))).backward()
+            adam_step(model.params, m, v, t=t, cfg=cfg, live=live)
+
+        trained = [t.data.tobytes() for t in result.checkpoint.params.values()]
+        step(1, [2, 3])
+        ck = _snapshot(model, 0, result.checkpoint.vocab, [])
+        before = [t.data.tobytes() for t in ck.params.values()]
+        live_rows = table.data[[2, 3, 4]].tobytes()
+        step(2, [4])
+        step(3, [3])
+        assert live["embed.static"].tolist() == [2, 3, 4]
+        assert table.data[[2, 3, 4]].tobytes() != live_rows
+        assert [t.data.tobytes() for t in ck.params.values()] == before
+        assert [t.data.tobytes() for t in result.checkpoint.params.values()] == trained, "the last epoch's checkpoint is a copy too"
+
+    def test_clip_sums_a_table_adam_updates_whole_dense(self):
+        tables = {n: T.parameter(np.ones((10, 2))) for n in ("rows", "whole")}
+        for table in tables.values():
+            T.sum_all(T.take_rows(table, [3, 3, 5])).backward()
+        norm = clip_gradients(tables, 0.0, {"rows": np.array([3, 5]), "whole": None})
+        assert T._grad_rows(tables["rows"]) is not None, "a row-sparse table keeps its rows"
+        assert T._grad_rows(tables["whole"]) is None, "the whole table's gradient was read dense"
+        assert norm == float(np.sqrt(2 * (4.0 * 2 + 1.0 * 2)))
+
+    def test_train_step_memory_does_not_scale_with_the_table(self, rng):
+        cfg = _tiny_cfg(grad_clip=1e-3)
+        params = {"embed.static": T.parameter(rng.normal(size=(20000, 32))), "w": T.parameter(rng.normal(size=(32, 4)))}
+        table = params["embed.static"]
+        m = {n: np.zeros(p.shape) for n, p in params.items()}
+        v = {n: np.zeros(p.shape) for n, p in params.items()}
+        # a first step on a small table imports what numpy loads lazily
+        small = T.parameter(rng.normal(size=(300, 32)))
+        T.sum_all(T.take_rows(small, [1, 2])).backward()
+        clip_gradients({"s": small}, cfg.grad_clip, {})
+        adam_step({"s": small}, {"s": np.zeros(small.shape)}, {"s": np.zeros(small.shape)}, t=1, cfg=cfg, live={})
+        lookups = [T.take_rows(table, rng.integers(0, 20000, size=12)) for _ in range(40)]
+        loss = T.sum_all(T.tanh(T.matmul(T.concat(lookups, axis=0), params["w"])))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            loss.backward()
+            live = {}
+            norm = clip_gradients(params, cfg.grad_clip, live)
+            adam_step(params, m, v, t=1, cfg=cfg, live=live)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert norm > cfg.grad_clip, "the clip fires"
+        # the touched rows' gradient, moments and scratch, and the norm's summation
+        # tree for this table shape; never a table-sized array
+        assert peak < 0.5 * table.data.nbytes, f"the step peaked at {peak / table.data.nbytes:.2f} table sizes"
 
 
 class TestTraining:
@@ -167,6 +313,53 @@ class TestTraining:
             save_checkpoint(path, result.checkpoint)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("task", ["snli", "wikiqa"])
+    def test_row_sparse_optimizer_writes_the_dense_checkpoint(self, task, monkeypatch, tmp_path):
+        if task == "snli":
+            pairs, dev = _classify_pairs(40, seed=16), _classify_pairs(12, seed=17)
+            cfg = _tiny_cfg(contextual_dim=4)
+        else:
+            pairs, dev = _ranking_pairs(4, seed=18), _ranking_pairs(2, seed=19)
+            cfg = _tiny_cfg(task="wikiqa", contextual_dim=4, batch_size=4, grad_clip=0.5)
+        # spare words keep most of the table untouched, so it stays row-sparse
+        vocab = Vocab(build_vocab(pairs).id_to_token[2:] + [f"spare{i}" for i in range(400)])
+        norms, lives = [], []
+
+        def row_sparse_clip(params, max_norm, live):
+            norms.append(clip_gradients(params, max_norm, live))
+            return norms[-1]
+
+        def row_sparse_adam(params, state_m, state_v, t, cfg, live):
+            lives.append(live)
+            adam_step(params, state_m, state_v, t, cfg, live)
+
+        def dense_clip(params, max_norm, live):
+            norms.append(oracles.clip_gradients_dense(params, max_norm))
+            return norms[-1]
+
+        def dense_adam(params, state_m, state_v, t, cfg, live):
+            oracles.adam_step_dense(params, state_m, state_v, t, cfg)
+
+        blobs = []
+        for clip, adam in ((row_sparse_clip, row_sparse_adam), (dense_clip, dense_adam)):
+            monkeypatch.setattr(trainer_mod, "clip_gradients", clip)
+            monkeypatch.setattr(trainer_mod, "adam_step", adam)
+            result = train(cfg, pairs, dev_pairs=dev, provider=StubContextualProvider(4, seed=0), vocab=vocab)
+            path = tmp_path / f"{adam.__name__}.bin"
+            save_checkpoint(path, result.checkpoint)
+            blobs.append(path.read_bytes())
+        assert lives[-1]["embed.static"] is not None, "the table took the row-sparse path"
+        if task == "wikiqa":
+            assert any(n > cfg.grad_clip for n in norms), "the clip fires"
+        half = len(norms) // 2
+        assert norms[:half] == norms[half:]
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_weights_abort_naming_parameter_epoch_and_batch(self):
+        with pytest.raises(NumericalError, match=r"epoch 0 batch \d+: parameter \S+ is non-finite after Adam step \d+"):
+            train(_tiny_cfg(epochs=1, lr=1e308, grad_clip=0.0), _classify_pairs(24, seed=5))
 
     def test_nan_loss_aborts_with_diagnostics(self, monkeypatch):
         pairs = _classify_pairs(12, seed=5)
