@@ -228,7 +228,9 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # a run checks finiteness itself (NumericalError), so numpy's own warnings only add noise
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -213,13 +213,15 @@ def build_batches(pairs, vocab, task, batch_size, shuffle_seed=None, max_len=Non
     spec = task_spec(task) if isinstance(task, str) else task
     cap = spec.max_len if max_len is None else max_len
     tokenized, skipped = tokenize_pairs(pairs, vocab, cap)
+    return batch_pairs(tokenized, batch_size, shuffle_seed), skipped
+
+
+def batch_pairs(tokenized, batch_size, shuffle_seed=None):
+    """Padded batches of tokenized pairs, in input order or permuted by the seed."""
     if shuffle_seed is not None:
         order = np.random.default_rng(shuffle_seed).permutation(len(tokenized))
         tokenized = [tokenized[i] for i in order]
-    batches = [
-        _make_batch(tokenized[i : i + batch_size]) for i in range(0, len(tokenized), batch_size)
-    ]
-    return batches, skipped
+    return [_make_batch(tokenized[i : i + batch_size]) for i in range(0, len(tokenized), batch_size)]
 
 
 def group_by_question(pairs):

@@ -25,8 +25,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import mmap
 import os
 import struct
+import warnings
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -83,28 +86,36 @@ def sentence_id(tokens):
 def load_static_vectors(path, vocab, dim, seed=0):
     """Read a token-per-line float table into a |V| x dim matrix.
 
-    Tokens present in the file get the file's vector; in-vocabulary
-    tokens missing from the file get a small uniform init in
-    [-0.05, 0.05] from the seeded generator; the pad row stays zero.
-    A value that is not a finite float raises ParseError naming the line.
+    Tokens present in the file get the file's vector (the last line
+    wins for a repeated token); in-vocabulary tokens missing from the
+    file get a small uniform init in [-0.05, 0.05] from the seeded
+    generator; the pad row stays zero unless the file lists `<pad>`.
+    Every line's field count is checked, but only in-vocabulary lines
+    are parsed. A value that is not a finite float raises ParseError
+    naming the line.
     """
     matrix = np.zeros((len(vocab), dim))
     line_of = np.zeros(len(vocab), dtype=np.int64)  # 0: not in the file
     line_of[PAD] = -1
-    for line_no, line in _text_lines(path, ParseError):
-        parts = line.split(" ")
-        if len(parts) < 2:
-            continue
-        token, values = parts[0], parts[1:]
-        if len(values) != dim:
-            raise ParseError(f"{path}:{line_no}: expected {dim} floats after token, got {len(values)}")
-        if token in vocab:
-            idx = vocab.id_of(token)
-            try:
-                matrix[idx] = [float(v) for v in values]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{line_no}: {exc}") from None
-            line_of[idx] = line_no
+    chunk = []
+    try:
+        for line_no, line in _text_lines(path, ParseError):
+            fields = line.count(" ")
+            if fields == 0:
+                continue
+            if fields != dim:
+                raise ParseError(f"{path}:{line_no}: expected {dim} floats after token, got {fields}")
+            cut = line.index(" ")
+            idx = vocab.token_to_id.get(line[:cut])
+            if idx is not None:
+                chunk.append((line_no, idx, line[cut + 1 :]))
+                if len(chunk) == _CHUNK_LINES:
+                    _parse_vector_lines(chunk, matrix, line_of, path)
+                    chunk = []
+    except ParseError:
+        _parse_vector_lines(chunk, matrix, line_of, path)  # an earlier bad value is reported first
+        raise
+    _parse_vector_lines(chunk, matrix, line_of, path)
     bad = line_of[~np.isfinite(matrix).all(axis=1)]
     if bad.size:
         raise ParseError(f"{path}:{bad.min()}: values must be finite")
@@ -112,6 +123,49 @@ def load_static_vectors(path, vocab, dim, seed=0):
     for idx in np.flatnonzero(line_of == 0):
         matrix[idx] = rng.uniform(-0.05, 0.05, size=dim)
     return matrix
+
+
+_CHUNK_LINES = 4096  # vector lines parsed per loadtxt call: a few MB of text
+# loadtxt strips these as whitespace around a value, where float() refuses them
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_vector_lines(chunk, matrix, line_of, path):
+    """Write each (line number, row, values text) of `chunk` into its matrix row.
+
+    The values are those `float()` gives each space-separated field, bit
+    for bit. numpy's C tokenizer parses a chunk at once. A chunk it could
+    read differently from `float()` (the separators above, or non-ASCII
+    text, where `float()` also reads Unicode digits) or cannot read goes
+    through `float()` line by line, which names the bad line.
+    """
+    if not chunk:
+        return
+    bodies = [body for _, _, body in chunk]
+    values = None
+    text = "\n".join(bodies)
+    if text.isascii() and not any(c in text for c in _LOADTXT_ONLY_SPACE):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body: "input contained no data"
+                values = np.loadtxt(bodies, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        # loadtxt skips a blank line, which float() refuses
+        if values is not None and values.shape != (len(chunk), matrix.shape[1]):
+            values = None
+    if values is None:
+        values = np.empty((len(chunk), matrix.shape[1]))
+        for row, (line_no, _, body) in enumerate(chunk):
+            try:
+                values[row] = [float(v) for v in body.split(" ")]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{line_no}: {exc}") from None
+    last = {idx: row for row, (_, idx, _) in enumerate(chunk)}  # a repeated token: the last line wins
+    rows = np.fromiter(last.keys(), dtype=np.intp, count=len(last))
+    picked = np.fromiter(last.values(), dtype=np.intp, count=len(last))
+    matrix[rows] = values[picked]
+    line_of[rows] = [chunk[r][0] for r in picked]
 
 
 def random_static_vectors(vocab, dim, seed=0):
@@ -153,9 +207,10 @@ class CacheContextualProvider:
         self.dim, self.records = read_contextual_cache(path)
 
     def vectors(self, sid, tokens):
-        if sid not in self.records:
-            raise CacheMissError(f"no contextual vectors for sentence id {sid} in {self.path}")
-        rows = self.records[sid]
+        try:
+            rows = self.records[sid]
+        except KeyError:
+            raise CacheMissError(f"no contextual vectors for sentence id {sid} in {self.path}") from None
         if rows.shape[0] != len(tokens):
             raise DataError(
                 f"contextual entry for {sid} has {rows.shape[0]} rows, sentence has {len(tokens)} tokens"
@@ -216,19 +271,18 @@ def _text_lines(path, error):
             yield line_no, line.rstrip("\n")
 
 
-def _read_exact(fh, count, path, size):
-    """The next `count` bytes of `fh`, a file of `size` bytes; too few raise ParseError.
-
-    A count beyond the whole file is refused before reading, so a corrupt
-    length field cannot ask for an arbitrarily large buffer.
-    """
-    raw = fh.read(count) if count <= size else b""
-    if len(raw) != count:
-        raise ParseError(f"{path}: truncated: {count} bytes needed at byte {fh.tell() - len(raw)} of {size}")
-    return raw
-
-
 def read_contextual_cache(path):
+    """(dim, records) of a contextual cache; records maps sentence id -> rows.
+
+    One pass reads the record headers, seeking past the rows, and indexes
+    them; the rows are then served from a read-only memory map of the
+    file. A record's rows are a read-only float32 view into the file,
+    read from disk when first touched, so a cache far larger than memory
+    opens and the process's memory does not grow with the file. The file
+    must therefore not be rewritten in place while the records are in use
+    (`write_contextual_cache` replaces it by rename, which is safe). Any
+    extent past the end of the file raises ParseError naming the byte.
+    """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
@@ -237,14 +291,75 @@ def read_contextual_cache(path):
         version, dim, count = struct.unpack("<IIQ", _read_exact(fh, 16, path, size))
         if version != CACHE_VERSION:
             raise ParseError(f"{path}: unsupported cache version {version}")
-        records = {}
-        for index in range(count):
-            (id_len,) = struct.unpack("<I", _read_exact(fh, 4, path, size))
+        # headers are read through the file, not the map: touching a mapped
+        # header page would also map the rows around it
+        index = {}
+        pos = fh.tell()
+        for record in range(count):
+            _need(path, pos, 4, size)
+            (id_len,) = struct.unpack("<I", fh.read(4))
+            _need(path, pos + 4, id_len, size)
             try:
-                sid = _read_exact(fh, id_len, path, size).decode("utf-8")
+                sid = fh.read(id_len).decode("utf-8")
             except UnicodeDecodeError:
-                raise ParseError(f"{path}: id of record {index} is not UTF-8") from None
-            (n_rows,) = struct.unpack("<I", _read_exact(fh, 4, path, size))
-            raw = _read_exact(fh, n_rows * dim * 4, path, size)
-            records[sid] = np.frombuffer(raw, dtype="<f4").reshape(n_rows, dim).copy()
-    return dim, records
+                raise ParseError(f"{path}: id of record {record} is not UTF-8") from None
+            _need(path, pos + 4 + id_len, 4, size)
+            (n_rows,) = struct.unpack("<I", fh.read(4))
+            pos += 8 + id_len
+            _need(path, pos, n_rows * dim * 4, size)
+            index[sid] = (pos, n_rows)
+            pos += n_rows * dim * 4
+            fh.seek(pos)
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return dim, _CacheRecords(buf, dim, index)
+
+
+def _need(path, pos, count, size):
+    """Refuse `count` bytes at byte `pos` of a file of `size` bytes that end past it."""
+    if pos + count > size:
+        raise ParseError(f"{path}: truncated: {count} bytes needed at byte {pos} of {size}")
+
+
+def _read_exact(fh, count, path, size):
+    """The next `count` bytes of `fh`, a file of `size` bytes; too few raise ParseError.
+
+    A count beyond the file is refused before reading, so a corrupt
+    length field cannot ask for an arbitrarily large buffer.
+    """
+    pos = fh.tell()
+    _need(path, pos, count, size)
+    raw = fh.read(count)
+    _need(path, pos, count, pos + len(raw))  # the file shrank after its size was taken
+    return raw
+
+
+class _CacheRecords(Mapping):
+    """Read-only {sentence id: (rows, dim) float32 view} over a mapped cache.
+
+    A view is made on a sentence's first lookup and kept: epochs look the
+    same sentences up again, and a view holds no copy of the rows.
+    """
+
+    def __init__(self, buf, dim, index):
+        self._buf = buf
+        self._dim = dim
+        self._index = index
+        self._views = {}
+
+    def __getitem__(self, sid):
+        rows = self._views.get(sid)
+        if rows is None:
+            offset, n_rows = self._index[sid]
+            count = n_rows * self._dim
+            rows = np.frombuffer(self._buf, dtype="<f4", count=count, offset=offset).reshape(n_rows, self._dim)
+            self._views[sid] = rows
+        return rows
+
+    def __contains__(self, sid):
+        return sid in self._index
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self):
+        return len(self._index)

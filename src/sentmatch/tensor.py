@@ -357,13 +357,18 @@ def matmul(a, b):
     out_data = a.data @ b.data
 
     def vjp(g):
+        # a constant operand (a mask, a precomputed vector) gets no product
         if shared:
             g_rows = g.reshape(-1, m)
-            _accumulate(a, (g_rows @ b.data.T).reshape(a.shape))
-            _accumulate(b, a.data.reshape(-1, k).T @ g_rows)
+            if a.requires_grad:
+                _accumulate(a, (g_rows @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                _accumulate(b, a.data.reshape(-1, k).T @ g_rows)
         else:
-            _accumulate(a, g @ _swap(b.data))
-            _accumulate(b, _swap(a.data) @ g)
+            if a.requires_grad:
+                _accumulate(a, g @ _swap(b.data))
+            if b.requires_grad:
+                _accumulate(b, _swap(a.data) @ g)
 
     return _node(out_data, (a, b), vjp)
 
@@ -535,8 +540,11 @@ def mul(a, b):
     _check_same_shape("mul", a, b)
 
     def vjp(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        # a constant operand (a row mask) gets no product
+        if a.requires_grad:
+            _accumulate(a, g * b.data)
+        if b.requires_grad:
+            _accumulate(b, g * a.data)
 
     return _node(a.data * b.data, (a, b), vjp)
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint
 from .config import TrainConfig
-from .data import _make_batch, build_batches, build_vocab, group_by_question, make_ranking_triples, task_spec, tokenize_pairs
+from .data import _make_batch, batch_pairs, build_batches, build_vocab, group_by_question, make_ranking_triples, task_spec, tokenize_pairs
 from .embedding import random_static_vectors
 from .errors import DataError, NumericalError
 from .heads import cross_entropy, hinge_loss
@@ -226,14 +226,16 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
     history = []
     best_metric, best_epoch, best_ck = -np.inf, -1, None
     since_best = 0
+    # each split is tokenized once; epochs only reorder the training pairs
+    tokenized = tokenize_pairs(train_pairs, vocab, cfg.effective_max_len)[0]
     if spec.kind == "rank":
-        groups = group_by_question(tokenize_pairs(train_pairs, vocab, cfg.effective_max_len)[0])
+        groups = group_by_question(tokenized)
+    if dev_pairs is not None:
+        dev_batches = build_batches(dev_pairs, vocab, spec, cfg.batch_size, shuffle_seed=None, max_len=cfg.effective_max_len)[0]
     for epoch in range(cfg.epochs):
         drop_rng = _seed_rng(cfg.seed, 2, epoch)
         if spec.kind == "classify":
-            batches, _ = build_batches(
-                train_pairs, vocab, spec, cfg.batch_size, shuffle_seed=int(_seed_rng(cfg.seed, 3, epoch).integers(2**31)), max_len=cfg.effective_max_len
-            )
+            batches = batch_pairs(tokenized, cfg.batch_size, shuffle_seed=int(_seed_rng(cfg.seed, 3, epoch).integers(2**31)))
             step_iter = [(b, None) for b in batches]
         else:
             step_iter = _ranking_steps(cfg, groups, epoch)
@@ -265,7 +267,7 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
             "train_loss": float(np.mean(losses)),
         }
         if dev_pairs is not None:
-            report = evaluate(model, dev_pairs, vocab)
+            report = _evaluate_batches(model, dev_batches)
             record.update(report.metrics)
             metric = report.primary()
         else:
@@ -317,9 +319,14 @@ def _ranking_steps(cfg, groups, epoch):
 def evaluate(model, pairs, vocab):
     """Deterministic metric report for a raw-record split."""
     cfg = model.cfg
-    spec = task_spec(cfg.task)
-    batches, _ = build_batches(pairs, vocab, spec, cfg.batch_size, shuffle_seed=None, max_len=cfg.effective_max_len)
-    if spec.kind == "classify":
+    batches, _ = build_batches(pairs, vocab, cfg.task, cfg.batch_size, shuffle_seed=None, max_len=cfg.effective_max_len)
+    return _evaluate_batches(model, batches)
+
+
+def _evaluate_batches(model, batches):
+    """The metric report over a split's batches, built in input order."""
+    cfg = model.cfg
+    if task_spec(cfg.task).kind == "classify":
         preds, labels = [], []
         for batch in batches:
             preds.extend(np.argmax(model.forward_pair(batch).data, axis=1).tolist())

@@ -298,3 +298,38 @@ def save_checkpoint_with_moments(path, ck, adam_m, adam_v, adam_t):
         fh.write(b"SMCK" + struct.pack("<IQ", 1, len(header)) + header)
         for arr in arrays:
             fh.write(np.asarray(arr, dtype="<f8").tobytes())
+
+
+def load_static_vectors_per_value(path, vocab, dim, seed=0):
+    """The static-vector loader that parses every value of every line with `float()`.
+
+    This is the package's original loader, kept as the reference its
+    chunked parse must match bit for bit. `vocab` needs `len`, `in` and
+    `id_of`; row 0 is the pad row. A bad file raises ValueError carrying
+    the `<path>:<line>: ...` message of the package's ParseError.
+    """
+    matrix = np.zeros((len(vocab), dim))
+    line_of = np.zeros(len(vocab), dtype=np.int64)  # 0: not in the file
+    line_of[0] = -1
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            parts = line.rstrip("\n").split(" ")
+            if len(parts) < 2:
+                continue
+            token, values = parts[0], parts[1:]
+            if len(values) != dim:
+                raise ValueError(f"{path}:{line_no}: expected {dim} floats after token, got {len(values)}")
+            if token in vocab:
+                idx = vocab.id_of(token)
+                try:
+                    matrix[idx] = [float(v) for v in values]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
+                line_of[idx] = line_no
+    bad = line_of[~np.isfinite(matrix).all(axis=1)]
+    if bad.size:
+        raise ValueError(f"{path}:{bad.min()}: values must be finite")
+    rng = np.random.default_rng(seed)
+    for idx in np.flatnonzero(line_of == 0):
+        matrix[idx] = rng.uniform(-0.05, 0.05, size=dim)
+    return matrix

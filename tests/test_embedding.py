@@ -1,6 +1,14 @@
+import os
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
+from sentmatch import embedding
 from sentmatch.config import TrainConfig
 from sentmatch.data import RawPair, build_batches, tokenize_pairs
 from sentmatch.embedding import (
@@ -86,6 +94,128 @@ class TestStaticVectors:
         assert np.all(np.abs(mat) <= 0.05)
 
 
+def _assert_loads_like_the_oracle(path, vocab, dim):
+    """The loader gives the per-value oracle's matrix bit for bit, or raises its message."""
+    try:
+        expected = oracles.load_static_vectors_per_value(path, vocab, dim, seed=3)
+    except ValueError as exc:
+        with pytest.raises(ParseError) as got:
+            load_static_vectors(path, vocab, dim, seed=3)
+        assert str(got.value) == str(exc)
+        return
+    got = load_static_vectors(path, vocab, dim, seed=3)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f"]  # loadtxt strips them, float() refuses them
+
+# case id -> file content, read with the vocabulary cat, dog, owl at dim 3
+EDGE_FILES = {
+    **{f"separator-{ord(c):x}": f"cat 1.0{c} 2.0 3.0\n" for c in SEPARATORS},
+    **{f"separator-{ord(c):x}-leading": f"dog 4 5 6\ncat {c}1.0 2.0 3.0\n" for c in SEPARATORS},
+    **{f"separator-{ord(c):x}-out-of-vocab": f"emu 1.0{c} 2 3\ncat 1 2 3\n" for c in SEPARATORS},
+    "underscore-digits": "cat 1_0 2_5.0_1 -3\ndog 4 5 6\n",
+    "full-width-digits": "cat \uff11\uff12.\uff15 0 1\ndog 4 5 6\n",
+    "arabic-indic-digits": "cat \u0663.\u0661\u0664 \u0660 \u0661\n",
+    "unicode-minus": "cat \u22121 2 3\n",
+    "no-break-space": "cat 1\xa0 2 3\n",
+    "negative-zero": "cat -0.0 0.0 -0\ndog -0e5 +0 -.0\n",
+    "subnormals": "cat 5e-324 4.9406564584124654e-324 2.225073858507201e-308\ndog -1e-320 1e-400 2.2250738585072014e-308\n",
+    "overflow": "cat 1e308 1.7976931348623157e308 1e309\n",
+    "nan-variants": "cat 1 2 3\ndog nan NaN -nan\nowl +nan 1 2\n",
+    "inf-variants": "cat 1 2 3\nowl +inf -Infinity INF\ndog infinity 0 0\n",
+    "nan-out-of-vocab": "emu nan inf -inf\ncat 1 2 3\n",
+    "duplicates": "cat 1 2 3\ndog 4 5 6\ncat 7 8 9\n",
+    "duplicate-non-finite-then-finite": "cat nan 0 0\ncat 1 2 3\n",
+    "duplicate-finite-then-non-finite": "cat 1 2 3\ncat inf 0 0\n",
+    "pad-and-unk-lines": "<pad> 1 2 3\n<unk> 4 5 6\ncat 7 8 9\n",
+    "malformed-out-of-vocab-count": "cat 1 2 3\nemu 1 2\n",
+    "malformed-out-of-vocab-value": "emu x y z\ncat 1 2 3\n",
+    "bad-value-before-bad-count": "cat 1 2 3\ndog 1 x 3\nemu 1 2\n",
+    "no-in-vocab-line": "emu 1 2 3\nyak 4 5 6\n",
+    "empty-file": "",
+    "empty-field": "cat 1.0  2.0\n",
+    "empty-body": "cat   \n",
+    "trailing-space": "cat 1 2 3 \n",
+    "blank-and-bare-lines": "\ncat 1 2 3\nheader\n\ndog 4 5 6",
+    "whitespace-around-values": "cat 1.0\t \x0b2.0\x0c \t3.0\t\n",
+    "hex-value": "cat 0x10 1 2\n",
+    "exponent-forms": "cat 1e5 1E-5 .5\ndog 1. +.5e+0 00012\nowl 1_000.000_1e1_0 -1E+0_1 9\n",
+    "crlf-and-cr": "cat 1 2 3\r\ndog 4 5 6\rowl 7 8 9\r\n",
+}
+
+
+class TestStaticVectorsMatchTheOracle:
+    """The chunked parse against the original per-value `float()` loader."""
+
+    @pytest.mark.parametrize("chunk_lines", [1, 2, 4096])
+    @pytest.mark.parametrize("content", EDGE_FILES.values(), ids=EDGE_FILES.keys())
+    def test_edge_case_file(self, tmp_path, content, chunk_lines):
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(content.encode("utf-8"))
+        with mock.patch.object(embedding, "_CHUNK_LINES", chunk_lines):
+            _assert_loads_like_the_oracle(path, Vocab(["cat", "dog", "owl"]), 3)
+
+    def test_mixed_file_across_chunks(self, tmp_path):
+        lines = [f"w{i} {i}.5 -{i}e-3 {i}_0" for i in range(40)]
+        lines[7] = "w7 \uff17 1 2"  # non-ASCII: its chunk goes value by value
+        lines[22] = "w22 1\x1d 1 2"  # float() refuses it
+        lines[31] = "emu 1 2"  # a bad count after the bad value: the value is reported
+        path = tmp_path / "vecs.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        vocab = Vocab([f"w{i}" for i in range(0, 40, 3)] + ["w7", "w22"])
+        for chunk_lines in (1, 3, 5, 4096):
+            with mock.patch.object(embedding, "_CHUNK_LINES", chunk_lines):
+                _assert_loads_like_the_oracle(path, vocab, 3)
+                with pytest.raises(ParseError, match=f"{path}:23: could not convert"):
+                    load_static_vectors(path, vocab, 3)
+
+    def test_empty_single_value_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("cat \ndog 2\n")  # loadtxt would skip the blank value
+        vocab = Vocab(["cat", "dog"])
+        _assert_loads_like_the_oracle(path, vocab, 1)
+        with pytest.raises(ParseError, match=f"{path}:1: could not convert string to float: ''"):
+            load_static_vectors(path, vocab, 1)
+
+    def test_bad_value_is_reported_before_a_later_non_utf8_line(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"cat 1 x 3\ndog caf\xe9 1 2\n")
+        with pytest.raises(ParseError, match=f"{path}:1: could not convert string to float: 'x'"):
+            load_static_vectors(path, Vocab(["cat", "dog"]), 3)
+
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.sampled_from(["cat", "dog", "owl", "emu", "<pad>"]),
+                st.lists(
+                    st.one_of(
+                        st.floats().map(repr),
+                        st.floats(allow_nan=False).map(lambda x: f"{x:.17e}"),
+                        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6).map(lambda x: f"{x:f}"),
+                        st.from_regex(r"[+-]?[0-9_]{0,4}\.?[0-9]{0,3}([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+                        st.sampled_from(["1_0", "\uff11", "\u0661", "\x1c1", "1\x1f", "", "nan", "-inf", "0x1p3", "1e"]),
+                    ),
+                    min_size=3,
+                    max_size=3,
+                ),
+            ),
+            max_size=10,
+        ),
+        chunk_lines=st.sampled_from([1, 3, 4096]),
+    )
+    def test_random_float_reprs(self, vector_dir, lines, chunk_lines):
+        path = vector_dir / "vecs.txt"
+        path.write_text("".join(f"{tok} {' '.join(vals)}\n" for tok, vals in lines), encoding="utf-8")
+        with mock.patch.object(embedding, "_CHUNK_LINES", chunk_lines):
+            _assert_loads_like_the_oracle(path, Vocab(["cat", "dog", "owl"]), 3)
+
+
+@pytest.fixture(scope="module")
+def vector_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("vectors")
+
+
 class TestContextualCache:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -116,6 +246,68 @@ class TestContextualCache:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ParseError):
             read_contextual_cache(path)
+
+    def test_empty_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "ctx.bin"
+        path.write_bytes(b"")
+        with pytest.raises(ParseError, match=f"{path}: not a contextual cache"):
+            read_contextual_cache(path)
+
+    def test_rows_are_read_only_views_with_the_written_bits(self, tmp_path):
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2**32, size=(7, 5), dtype=np.uint32)
+        bits[0, :3] = [0x80000000, 0x00000001, 0x7FC00001]  # -0.0, the least subnormal, a NaN payload
+        records = [("a", bits.view(np.float32)), ("é", np.zeros((0, 5), np.float32)), ("b", bits[:2].view(np.float32))]
+        path = tmp_path / "ctx.bin"
+        write_contextual_cache(path, 5, records)
+        dim, loaded = read_contextual_cache(path)
+        assert dim == 5 and len(loaded) == 3 and list(loaded) == ["a", "é", "b"] and "c" not in loaded
+        for sid, rows in records:
+            got = loaded[sid]
+            assert got.dtype == np.float32 and got.shape == rows.shape and got.tobytes() == rows.tobytes()
+            assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            loaded["a"][0, 0] = 1.0
+
+    def test_an_atomic_rewrite_leaves_open_records_intact(self, tmp_path):
+        path = tmp_path / "ctx.bin"
+        write_contextual_cache(path, 2, [("s", np.ones((3, 2), np.float32))])
+        _, loaded = read_contextual_cache(path)
+        write_contextual_cache(path, 2, [("s", np.zeros((1, 2), np.float32))])
+        np.testing.assert_array_equal(loaded["s"], np.ones((3, 2)))
+        assert read_contextual_cache(path)[1]["s"].shape == (1, 2)
+
+    def test_reading_a_large_cache_allocates_far_less_than_the_file(self, tmp_path):
+        path = tmp_path / "ctx.bin"
+        rows = np.arange(32 * 256, dtype=np.float32).reshape(32, 256)
+        write_contextual_cache(path, 256, ((f"s{i}", rows) for i in range(1000)))
+        size = path.stat().st_size
+        assert size > 30e6
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            dim, loaded = read_contextual_cache(path)
+            total = sum(float(loaded[sid][-1, -1]) for sid in loaded)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dim == 256 and total == 1000 * float(rows[-1, -1])
+        assert peak < size / 20
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads RssFile from /proc")
+    def test_reading_maps_no_rows_into_memory(self, tmp_path):
+        path = tmp_path / "ctx.bin"
+        rows = np.ones((16, 256), dtype=np.float32)  # 16 KB a record: a fault on any page maps its neighbours
+        write_contextual_cache(path, 256, ((f"s{i}", rows) for i in range(4000)))
+
+        def mapped_file_kb():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("RssFile:"))
+
+        before = mapped_file_kb()
+        _, loaded = read_contextual_cache(path)
+        assert mapped_file_kb() - before < path.stat().st_size / 1024 / 20
+        assert float(loaded["s3999"][-1, -1]) == 1.0
 
 
 class TestStubProvider:

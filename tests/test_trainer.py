@@ -385,6 +385,35 @@ class TestTraining:
         assert len(result.history) == 3
         assert spy.calls == ["tokenize_pairs"]
 
+    def test_classification_splits_are_tokenized_once_per_run(self, spy):
+        import sentmatch.data as data_mod
+
+        spy(trainer_mod, "tokenize_pairs")
+        spy(data_mod, "tokenize_pairs")
+        result = train(_tiny_cfg(epochs=3, batch_size=5), _classify_pairs(12, seed=25), dev_pairs=_classify_pairs(6, seed=26))
+        assert len(result.history) == 3
+        assert spy.calls == ["tokenize_pairs", "tokenize_pairs"]  # the training split, then dev
+
+    def test_batches_from_one_tokenization_equal_each_epochs_retokenized_batches(self, tmp_path, monkeypatch):
+        from sentmatch.data import build_batches
+
+        pairs, dev = _classify_pairs(23, seed=27), _classify_pairs(7, seed=28)
+        cfg = _tiny_cfg(epochs=3, batch_size=5)
+        vocab = build_vocab(pairs)
+
+        def retokenized(tokenized, batch_size, shuffle_seed=None):
+            return build_batches(pairs, vocab, cfg.task, batch_size, shuffle_seed=shuffle_seed, max_len=cfg.effective_max_len)[0]
+
+        blobs, histories = [], []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(trainer_mod, "batch_pairs", retokenized)
+            result = train(cfg, pairs, dev_pairs=dev, vocab=vocab)
+            save_checkpoint(tmp_path / "ck.bin", result.checkpoint)
+            blobs.append((tmp_path / "ck.bin").read_bytes())
+            histories.append(result.history)
+        assert histories[0] == histories[1] and blobs[0] == blobs[1]
+
     def test_early_stopping_cuts_the_run_short(self):
         pairs = _classify_pairs(24, seed=6)
         dev = _classify_pairs(12, seed=7)
