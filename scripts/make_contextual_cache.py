@@ -22,6 +22,19 @@ from sentmatch.data import build_vocab, read_dataset, task_spec, tokenize_pairs
 from sentmatch.embedding import StubContextualProvider, write_contextual_cache
 
 
+def sentence_records(paths, spec, cap, provider):
+    """(sentence id, vectors) for each distinct sentence of the splits, in first-seen order."""
+    seen = set()
+    for path in paths:
+        pairs = read_dataset(path, spec)
+        tokenized, _ = tokenize_pairs(pairs, build_vocab(pairs), cap)
+        for p in tokenized:
+            for sid, tokens in ((p.sid_a, p.tokens_a), (p.sid_b, p.tokens_b)):
+                if sid not in seen:
+                    seen.add(sid)
+                    yield sid, provider.vectors(sid, tokens)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--data", required=True, nargs="+", help="one or more TSV splits to cover")
@@ -35,19 +48,10 @@ def main():
     spec = task_spec(args.task)
     cap = args.max_len if args.max_len > 0 else spec.max_len
     provider = StubContextualProvider(args.dim, seed=args.seed)
-    records = {}
-    for path in args.data:
-        pairs = read_dataset(path, spec)
-        vocab = build_vocab(pairs)
-        tokenized, _ = tokenize_pairs(pairs, vocab, cap)
-        for p in tokenized:
-            for sid, tokens in ((p.sid_a, p.tokens_a), (p.sid_b, p.tokens_b)):
-                if sid not in records:
-                    records[sid] = provider.vectors(sid, tokens)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_contextual_cache(out, args.dim, records.items())
-    print(f"wrote {len(records)} sentence records to {out}")
+    count = write_contextual_cache(out, args.dim, sentence_records(args.data, spec, cap, provider))
+    print(f"wrote {count} sentence records to {out}")
 
 
 if __name__ == "__main__":

@@ -139,10 +139,12 @@ def cmd_predict(args):
     pairs = read_dataset(args.data, ck.config.task)
     model = MatchModel(ck.config, ck.params, provider=provider)
     spec = task_spec(ck.config.task)
-    batches, _ = build_batches(pairs, ck.vocab, spec, ck.config.batch_size, shuffle_seed=None, max_len=ck.config.effective_max_len)
+    batches, skipped = build_batches(pairs, ck.vocab, spec, ck.config.batch_size, shuffle_seed=None, max_len=ck.config.effective_max_len)
+    if skipped:
+        print(f"skipped={skipped}", file=sys.stderr)
     for batch in batches:
         out = model.forward_pair(batch).data
-        for pair, row in zip(batch.pairs, out):
+        for pair, row in zip(batch.items, out):
             if spec.kind == "classify":
                 probs_txt = ",".join(f"{p:.6f}" for p in row)
                 print(f"{pair.pair_id}\t{spec.labels[int(np.argmax(row))]}\t{probs_txt}")

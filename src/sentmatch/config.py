@@ -67,8 +67,10 @@ class TrainConfig:
             raise ConfigError(f"max_len and contextual_dim must not be negative, got {self.max_len} and {self.contextual_dim}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.kernel % 2 == 0:
-            raise ConfigError(f"kernel width must be odd, got {self.kernel}")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ConfigError(f"kernel width must be odd and at least 1, got {self.kernel}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
         if self.only_h2p and self.only_p2h:
             raise ConfigError("only_h2p and only_p2h are mutually exclusive")
         if self.pool not in ("splice", "meanmax"):

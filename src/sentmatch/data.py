@@ -1,5 +1,8 @@
 """Dataset reading, tokenization, batching, and ranking-triple assembly.
 
+Batching stacks tokenized pairs into a padded `Batch`, the model's only
+input.
+
 All four tasks share one normalized input schema: UTF-8 TSV with
 `label \t sentence_a \t sentence_b` and, for the ranking task, a fourth
 `group_id` column tying candidates to their question. Converters from
@@ -103,10 +106,6 @@ class TokenizedPair:
     ids_b: np.ndarray
     tokens_a: list
     tokens_b: list
-    len_a: int
-    len_b: int
-    mask_a: np.ndarray
-    mask_b: np.ndarray
     label: int
     pair_id: int
     group_id: str | None
@@ -116,17 +115,28 @@ class TokenizedPair:
 
 @dataclass
 class Batch:
-    """Stacked, padded id matrices with masks and labels."""
+    """The model's input: pairs stacked into padded id matrices.
+
+    Each side is padded to its longest sentence in the batch, and its
+    mask marks the real tokens. `items` are the unpadded tokenized pairs
+    the rows were built from, in row order; they are shared, not copied.
+    """
 
     ids_a: np.ndarray
     mask_a: np.ndarray
     ids_b: np.ndarray
     mask_b: np.ndarray
     labels: np.ndarray
-    pairs: list = field(repr=False)
+    items: list = field(repr=False)
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.items)
+
+    @property
+    def pairs(self):
+        """One one-row batch per row, padded to this batch's width."""
+        fields = (self.ids_a, self.mask_a, self.ids_b, self.mask_b, self.labels, self.items)
+        return [Batch(*(f[i : i + 1] for f in fields)) for i in range(len(self))]
 
 
 def tokenize_pairs(pairs, vocab, cap):
@@ -151,10 +161,6 @@ def tokenize_pairs(pairs, vocab, cap):
                 ids_b=ids_b,
                 tokens_a=toks_a,
                 tokens_b=toks_b,
-                len_a=len(toks_a),
-                len_b=len(toks_b),
-                mask_a=np.ones(len(toks_a)),
-                mask_b=np.ones(len(toks_b)),
                 label=p.label,
                 pair_id=i,
                 group_id=p.group_id,
@@ -165,9 +171,9 @@ def tokenize_pairs(pairs, vocab, cap):
     return out, skipped
 
 
-def _pad_ids(rows, width):
-    out = np.full((len(rows), width), PAD, dtype=np.intp)
-    mask = np.zeros((len(rows), width))
+def _pad_ids(rows):
+    out = np.full((len(rows), max(map(len, rows))), PAD, dtype=np.intp)
+    mask = np.zeros(out.shape)
     for i, ids in enumerate(rows):
         out[i, : len(ids)] = ids
         mask[i, : len(ids)] = 1.0
@@ -175,31 +181,10 @@ def _pad_ids(rows, width):
 
 
 def _make_batch(chunk):
-    wa = max(p.len_a for p in chunk)
-    wb = max(p.len_b for p in chunk)
-    ids_a, mask_a = _pad_ids([p.ids_a for p in chunk], wa)
-    ids_b, mask_b = _pad_ids([p.ids_b for p in chunk], wb)
+    ids_a, mask_a = _pad_ids([p.ids_a for p in chunk])
+    ids_b, mask_b = _pad_ids([p.ids_b for p in chunk])
     labels = np.array([p.label for p in chunk], dtype=np.intp)
-    padded = []
-    for i, p in enumerate(chunk):
-        padded.append(
-            TokenizedPair(
-                ids_a=ids_a[i],
-                ids_b=ids_b[i],
-                tokens_a=p.tokens_a,
-                tokens_b=p.tokens_b,
-                len_a=p.len_a,
-                len_b=p.len_b,
-                mask_a=mask_a[i],
-                mask_b=mask_b[i],
-                label=p.label,
-                pair_id=p.pair_id,
-                group_id=p.group_id,
-                sid_a=p.sid_a,
-                sid_b=p.sid_b,
-            )
-        )
-    return Batch(ids_a, mask_a, ids_b, mask_b, labels, padded)
+    return Batch(ids_a, mask_a, ids_b, mask_b, labels, chunk)
 
 
 def build_batches(pairs, vocab, task, batch_size, shuffle_seed=None, max_len=None):

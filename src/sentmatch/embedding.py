@@ -219,12 +219,17 @@ class CacheContextualProvider:
 
 
 def write_contextual_cache(path, dim, records):
-    """records: iterable of (sentence_id, len x dim float array). Written atomically."""
-    items = list(records)
+    """records: iterable of (sentence_id, len x dim float array). Written atomically.
+
+    Records are written as they are drawn, so a generator source is never
+    held whole; the header's record count is patched in at the end.
+    Returns the number of records written.
+    """
+    count = 0
     with _write_atomic(path) as fh:
         fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<IIQ", CACHE_VERSION, dim, len(items)))
-        for sid, rows in items:
+        fh.write(struct.pack("<IIQ", CACHE_VERSION, dim, 0))
+        for sid, rows in records:
             arr = np.asarray(rows, dtype="<f4")
             if arr.ndim != 2 or arr.shape[1] != dim:
                 raise DataError(f"contextual record {sid} has shape {arr.shape}, expected (len, {dim})")
@@ -233,6 +238,10 @@ def write_contextual_cache(path, dim, records):
             fh.write(encoded)
             fh.write(struct.pack("<I", arr.shape[0]))
             fh.write(arr.tobytes())
+            count += 1
+        fh.seek(len(CACHE_MAGIC) + 8)
+        fh.write(struct.pack("<Q", count))
+    return count
 
 
 @contextlib.contextmanager

@@ -1,4 +1,4 @@
-"""Parameter construction and the forward pass over one pair or a padded batch.
+"""Parameter construction and the forward pass over a padded batch.
 
 Weights live in one flat name->Tensor dict so the optimizer and the
 checkpoint format can treat them uniformly.
@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .data import Batch, task_spec
+from .data import task_spec
 from .encoder import encode_pair, row_mask
 from .errors import CacheMissError
 from .heads import head_forward, pool_meanmax, pool_splice
@@ -64,17 +64,6 @@ def param_count(params):
     return sum(t.size for t in params.values())
 
 
-def _sentences(item):
-    """(ids, tokens, sid, mask) of both sides of a pair, or of a batch's rows."""
-    if isinstance(item, Batch):
-        pairs = item.pairs
-        return (
-            (item.ids_a, [p.tokens_a for p in pairs], [p.sid_a for p in pairs], item.mask_a),
-            (item.ids_b, [p.tokens_b for p in pairs], [p.sid_b for p in pairs], item.mask_b),
-        )
-    return (item.ids_a, item.tokens_a, item.sid_a, item.mask_a), (item.ids_b, item.tokens_b, item.sid_b, item.mask_b)
-
-
 class MatchModel:
     """The assembled network for one task.
 
@@ -91,45 +80,42 @@ class MatchModel:
         if cfg.effective_contextual_dim > 0 and provider is None:
             raise CacheMissError("config asks for contextual vectors but no provider was given")
 
-    def embed_sentence(self, ids, tokens, sid, mask, train=False, rng=None):
-        """Graph node for one sentence's embedding matrix, or a batch's.
+    def embed_sentence(self, ids, tokens, sids, mask, train=False, rng=None):
+        """Graph node for one side of a batch: its (batch, n, d) embeddings.
 
-        `ids` and `mask` are one sentence's (n,) arrays with its token
-        list and sentence id, or a batch's (batch, n) matrices with one
-        token list and one sentence id per row. Static rows come from the
-        trainable table (so gradients reach it); contextual rows are
+        `ids` and `mask` are the side's padded (batch, n) matrices, with
+        one token list and one sentence id per row. Static rows come from
+        the trainable table (so gradients reach it); contextual rows are
         constants, fetched per sentence. Padded rows are forced to zero
         and training applies dropout right after lookup.
         """
-        ids = np.asarray(ids, dtype=np.intp)
         x = T.take_rows(self.params["embed.static"], ids)
         ctx_dim = self.cfg.effective_contextual_dim
         if ctx_dim > 0:
-            if ids.ndim == 1:
-                tokens, sid = [tokens], [sid]
-            ctx = np.zeros((len(sid), ids.shape[-1], ctx_dim))
-            for row, toks, s in zip(ctx, tokens, sid):
-                row[: len(toks)] = np.asarray(self.provider.vectors(s, toks), dtype=np.float64)
-            x = T.concat([x, T.constant(ctx.reshape(ids.shape + (ctx_dim,)))], axis=-1)
+            ctx = np.zeros(ids.shape + (ctx_dim,))
+            for row, toks, sid in zip(ctx, tokens, sids):
+                row[: len(toks)] = np.asarray(self.provider.vectors(sid, toks), dtype=np.float64)
+            x = T.concat([x, T.constant(ctx)], axis=-1)
         x = T.mul(x, row_mask(mask, x.shape[-1]))
         if train and self.cfg.dropout > 0.0:
             x = T.dropout(x, self.cfg.dropout, rng)
         return x
 
-    def forward_pair(self, item, train=False, rng=None):
-        """Class probabilities (classification) or scores (ranking).
+    def forward_pair(self, batch, train=False, rng=None):
+        """Class probabilities (classification) or scores (ranking), (batch, K).
 
-        `item` is one `TokenizedPair`, giving a (1, K) result, or a padded
-        `Batch`, giving (batch, K) in one graph: row i equals, bit for
-        bit, the forward of `item.pairs[i]` alone.
+        One graph runs over the padded `Batch`; row i equals, bit for bit,
+        the forward of `batch.pairs[i]`, its one-row slice, alone.
         """
         cfg = self.cfg
-        x, y = (self.embed_sentence(*sentence, train, rng) for sentence in _sentences(item))
+        items = batch.items
+        x = self.embed_sentence(batch.ids_a, [pair.tokens_a for pair in items], [pair.sid_a for pair in items], batch.mask_a, train, rng)
+        y = self.embed_sentence(batch.ids_b, [pair.tokens_b for pair in items], [pair.sid_b for pair in items], batch.mask_b, train, rng)
         h, p = encode_pair(
             x,
             y,
-            item.mask_a,
-            item.mask_b,
+            batch.mask_a,
+            batch.mask_b,
             self.params,
             no_alignment=cfg.no_alignment,
             no_fusion=cfg.no_fusion,
@@ -141,13 +127,13 @@ class MatchModel:
         z = interact(
             h,
             p,
-            item.mask_a,
-            item.mask_b,
+            batch.mask_a,
+            batch.mask_b,
             self.params,
             only_h2p=cfg.only_h2p,
             only_p2h=cfg.only_p2h,
             no_self_attention=cfg.no_self_attention,
         )
         pool = pool_splice if cfg.pool == "splice" else pool_meanmax
-        pooled = pool(z, item.mask_a)
+        pooled = pool(z, batch.mask_a)
         return head_forward(pooled, self.params["head.w"], self.params["head.b"], self.task.kind)

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint
 from .config import TrainConfig
-from .data import _make_batch, batch_pairs, build_batches, build_vocab, group_by_question, make_ranking_triples, task_spec, tokenize_pairs
+from .data import batch_pairs, build_batches, build_vocab, group_by_question, make_ranking_triples, task_spec, tokenize_pairs
 from .embedding import random_static_vectors
 from .errors import DataError, NumericalError
 from .heads import cross_entropy, hinge_loss
@@ -309,11 +309,9 @@ def _ranking_steps(cfg, groups, epoch):
     triples = make_ranking_triples(groups, seed=int(_seed_rng(cfg.seed, 4, epoch).integers(2**31)))
     order = _seed_rng(cfg.seed, 5, epoch).permutation(len(triples))
     triples = [triples[i] for i in order]
-    steps = []
-    for i in range(0, len(triples), cfg.batch_size):
-        chunk = triples[i : i + cfg.batch_size]
-        steps.append((_make_batch([pos for pos, _ in chunk]), _make_batch([neg for _, neg in chunk])))
-    return steps
+    positives = batch_pairs([pos for pos, _ in triples], cfg.batch_size)
+    negatives = batch_pairs([neg for _, neg in triples], cfg.batch_size)
+    return list(zip(positives, negatives))
 
 
 def evaluate(model, pairs, vocab):
@@ -335,8 +333,8 @@ def _evaluate_batches(model, batches):
     scored = {}
     for batch in batches:
         scores = model.forward_pair(batch).data[:, 0]
-        for pair, score in zip(batch.pairs, scores.tolist()):
-            scored.setdefault(pair.group_id, []).append((score, pair.label == 1))
+        for pair, score, label in zip(batch.items, scores.tolist(), batch.labels.tolist()):
+            scored.setdefault(pair.group_id, []).append((score, label == 1))
     groups = list(scored.values())
     m, r = map_mrr(groups, include_no_positive=cfg.include_unanswerable)
     fingerprint = cfg.fingerprint()
@@ -377,12 +375,8 @@ def run_ablations(base_cfg, train_pairs, dev_pairs, static_matrix=None, provider
     full_metric = None
     for variant in ABLATION_ORDER:
         cfg = TrainConfig.from_dict(base_cfg.to_dict())
-        if variant != "full":
-            for flag in TrainConfig.ABLATION_FLAGS:
-                setattr(cfg, flag, flag == variant)
-        else:
-            for flag in TrainConfig.ABLATION_FLAGS:
-                setattr(cfg, flag, False)
+        for flag in TrainConfig.ABLATION_FLAGS:
+            setattr(cfg, flag, flag == variant)  # "full" is no flag: all off
         result = train(cfg, train_pairs, dev_pairs, static_matrix=static_matrix, provider=provider)
         metric = result.best_metric
         if variant == "full":

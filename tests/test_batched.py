@@ -1,9 +1,10 @@
-"""The batched forward is the per-pair forward, item by item.
+"""The batched forward is each row's forward, row by row.
 
 `MatchModel.forward_pair` runs one graph over a padded `Batch`; these
-tests hold it to the forward of each of the batch's padded pairs alone:
-outputs bit for bit, pad masking bit for bit, and parameter gradients of
-one batch loss against the loss joined from per-pair graphs.
+tests hold it to the forward of each of the batch's one-row slices
+(`Batch.pairs`) alone: outputs bit for bit, pad masking bit for bit, and
+parameter gradients of one batch loss against the loss joined from
+one-row graphs.
 """
 
 import numpy as np

@@ -47,7 +47,7 @@ class TestTrainCommand:
         code = main(["train", "--train", str(train_path), "--out", str(tmp_path / "x"), "--only_h2p", "1", "--only_p2h", "1", *TINY])
         assert code == 1
 
-    @pytest.mark.parametrize("flag, value", [("--batch_size", "0"), ("--lr", "nan")])
+    @pytest.mark.parametrize("flag, value", [("--batch_size", "0"), ("--lr", "nan"), ("--kernel", "-1"), ("--seed", "-1")])
     def test_out_of_range_value_is_a_usage_error(self, corpus, tmp_path, capsys, flag, value):
         train_path, _ = corpus
         out = tmp_path / "x"
@@ -137,6 +137,20 @@ class TestPredictCommand:
         first = lines[0].split("\t")
         assert first[1] in ("entailment", "contradiction", "neutral")
         assert len(first[2].split(",")) == 3
+
+    def test_skipped_rows_are_counted_on_stderr_and_stdout_stays_tsv(self, corpus, tmp_path, capsys):
+        train_path, dev_path = corpus
+        out = tmp_path / "run"
+        assert main(["train", "--train", str(train_path), "--out", str(out), "--quiet", *TINY]) == 0
+        with_empty = tmp_path / "with_empty.tsv"
+        with_empty.write_text(dev_path.read_text(encoding="utf-8") + "entailment\t   \ta dog runs\n", encoding="utf-8")
+        for data, skipped_line in ((dev_path, ""), (with_empty, "skipped=1\n")):
+            capsys.readouterr()
+            assert main(["predict", "--checkpoint", str(out / "checkpoint.bin"), "--data", str(data)]) == 0
+            captured = capsys.readouterr()
+            lines = captured.out.splitlines()
+            assert len(lines) == 24 and all(len(line.split("\t")) == 3 for line in lines)
+            assert captured.err == skipped_line
 
 
 class TestPrepVocab:

@@ -48,6 +48,9 @@ class TestValidation:
             ("grad_clip", float("inf")),
             ("max_len", -1),
             ("contextual_dim", -1),
+            ("kernel", -1),
+            ("kernel", 0),
+            ("seed", -1),
         ],
     )
     def test_out_of_range_value_rejected(self, field, value):

@@ -81,7 +81,7 @@ class TestTaskCaps:
         pairs = [RawPair(0, long_sent, "short one")]
         vocab = build_vocab(pairs)
         tokenized, _ = tokenize_pairs(pairs, vocab, cap=task_spec("snli").max_len)
-        assert tokenized[0].len_a == 64
+        assert len(tokenized[0].tokens_a) == len(tokenized[0].ids_a) == 64
 
 
 class TestBuildBatches:
@@ -127,7 +127,7 @@ class TestBuildBatches:
         pairs = [RawPair(i % 2, f"text {i}", f"pair {i}") for i in range(10)]
         vocab = build_vocab(pairs)
         batches, _ = build_batches(pairs, vocab, "quora", batch_size=4)
-        flat = [p.pair_id for b in batches for p in b.pairs]
+        flat = [p.pair_id for b in batches for p in b.items]
         assert flat == sorted(flat)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from sentmatch import embedding
 from sentmatch.config import TrainConfig
-from sentmatch.data import RawPair, build_batches, tokenize_pairs
+from sentmatch.data import RawPair, build_batches
 from sentmatch.embedding import (
     PAD,
     UNK,
@@ -227,6 +227,29 @@ class TestContextualCache:
         for sid, rows in records:
             np.testing.assert_array_equal(loaded[sid], rows)
 
+    def test_generator_source_writes_the_bytes_of_a_list_drawing_one_record_at_a_time(self, tmp_path):
+        rng = np.random.default_rng(1)
+        records = [(f"s{i}", rng.normal(size=(i % 4, 3)).astype(np.float32)) for i in range(6)]
+        events = []
+
+        class Rows:
+            def __init__(self, i, rows):
+                self.i, self.rows = i, rows
+
+            def __array__(self, dtype=None, copy=None):
+                events.append(("written", self.i))
+                return self.rows.astype(dtype)
+
+        def drawn():
+            for i, (sid, rows) in enumerate(records):
+                events.append(("drawn", i))
+                yield sid, Rows(i, rows)
+
+        assert write_contextual_cache(tmp_path / "list.bin", 3, records) == 6
+        assert write_contextual_cache(tmp_path / "gen.bin", 3, drawn()) == 6
+        assert (tmp_path / "gen.bin").read_bytes() == (tmp_path / "list.bin").read_bytes()
+        assert events == [(kind, i) for i in range(6) for kind in ("drawn", "written")]
+
     def test_cache_miss_names_sentence_id(self, tmp_path):
         path = tmp_path / "ctx.bin"
         write_contextual_cache(path, 2, [("known", np.zeros((1, 2), dtype=np.float32))])
@@ -322,8 +345,9 @@ class TestStubProvider:
 
 
 def _pair(sent_a, sent_b, vocab, cap=16):
-    pairs, _ = tokenize_pairs([RawPair(0, sent_a, sent_b)], vocab, cap)
-    return pairs[0]
+    """A one-row batch of the pair."""
+    (batch,), _ = build_batches([RawPair(0, sent_a, sent_b)], vocab, "snli", batch_size=1, max_len=cap)
+    return batch
 
 
 def _model(static, contextual_dim=0, provider=None):
@@ -331,11 +355,12 @@ def _model(static, contextual_dim=0, provider=None):
     return MatchModel(cfg, init_params(cfg, static, seed=0), provider=provider)
 
 
-def _embed(model, pair):
-    """Both sentences' embedding matrices, as the model's forward builds them."""
-    x = model.embed_sentence(pair.ids_a, pair.tokens_a, pair.sid_a, pair.mask_a)
-    y = model.embed_sentence(pair.ids_b, pair.tokens_b, pair.sid_b, pair.mask_b)
-    return x.data, y.data
+def _embed(model, batch):
+    """Both sentences' embedding matrices of a one-row batch, as the model's forward builds them."""
+    (pair,) = batch.items
+    x = model.embed_sentence(batch.ids_a, [pair.tokens_a], [pair.sid_a], batch.mask_a)
+    y = model.embed_sentence(batch.ids_b, [pair.tokens_b], [pair.sid_b], batch.mask_b)
+    return x.data[0], y.data[0]
 
 
 class TestEmbedPair:
@@ -352,7 +377,7 @@ class TestEmbedPair:
         x, _ = _embed(_model(static, 3, provider), pair)
         assert x.shape == (1, 7)
         np.testing.assert_array_equal(x[0, :4], static[vocab.id_of("cat")])
-        np.testing.assert_array_equal(x[0, 4:], provider.vectors(pair.sid_a, ["cat"])[0].astype(np.float64))
+        np.testing.assert_array_equal(x[0, 4:], provider.vectors(pair.items[0].sid_a, ["cat"])[0].astype(np.float64))
 
     def test_padded_rows_are_zero_and_real_rows_exact(self):
         vocab = Vocab(["big", "dog", "runs"])
@@ -363,9 +388,9 @@ class TestEmbedPair:
         (batch,), _ = build_batches([RawPair(0, "dog", "big dog runs"), RawPair(0, "big dog runs", "x")], vocab, "snli", batch_size=2)
         pair = batch.pairs[0]
         x, _ = _embed(_model(static, 3, provider), pair)
-        assert pair.mask_a.tolist() == [1.0, 0.0, 0.0]
+        assert pair.mask_a.tolist() == [[1.0, 0.0, 0.0]]
         np.testing.assert_array_equal(x[0, :4], static[vocab.id_of("dog")])
-        np.testing.assert_array_equal(x[0, 4:], provider.vectors(pair.sid_a, ["dog"])[0].astype(np.float64))
+        np.testing.assert_array_equal(x[0, 4:], provider.vectors(pair.items[0].sid_a, ["dog"])[0].astype(np.float64))
         np.testing.assert_array_equal(x[1:], np.zeros((2, 7)))
 
     def test_contextual_disabled_matches_static_dim_everywhere(self):

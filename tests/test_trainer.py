@@ -452,8 +452,8 @@ class TestEvaluate:
 
         batches, _ = build_batches(pairs, result.checkpoint.vocab, "wikiqa", 8)
         for batch in batches:
-            for pair in batch.pairs:
-                scored[pair.group_id].append((float(result.model.forward_pair(pair).data[0, 0]), pair.label == 1))
+            for row, pair in zip(batch.pairs, batch.items):
+                scored[pair.group_id].append((float(result.model.forward_pair(row).data[0, 0]), pair.label == 1))
         expected = map_mrr(list(scored.values()))
         assert (report.metrics["map"], report.metrics["mrr"]) == expected
 
