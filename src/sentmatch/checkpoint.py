@@ -31,7 +31,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig
-from .embedding import Vocab, _read_exact, _write_atomic
+from .embedding import Vocab, _need, _read_exact, _write_atomic
 from .errors import ConfigError, ParseError
 
 MAGIC = b"SMCK"
@@ -93,17 +93,29 @@ def load_checkpoint(path):
             raise ParseError(f"{path}: malformed manifest ({exc})") from None
 
 
+def _read_array(fh, shape, path, size):
+    """The next float64 array of `shape` in `fh`, read straight into its own buffer.
+
+    Too few bytes raise ParseError; a shape that needs more than the file
+    holds is refused before anything is allocated.
+    """
+    count = int(np.prod(shape)) if shape else 1
+    pos = fh.tell()
+    _need(path, pos, count * 8, size)
+    data = np.empty(shape, dtype="<f8")
+    got = fh.readinto(data.reshape(-1).view(np.uint8))
+    _need(path, pos, count * 8, pos + got)  # the file shrank after its size was taken
+    return data
+
+
 def _from_manifest(fh, path, size, manifest):
     params = {}
     for entry in manifest["tensors"]:
         kind = entry["kind"]
         if kind != "param" and kind not in _LEGACY_KINDS:
             raise ParseError(f"{path}: unknown tensor kind {kind!r}")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        raw = _read_exact(fh, count * 8, path, size)
+        data = _read_array(fh, tuple(entry["shape"]), path, size)
         if kind == "param":
-            data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             if not np.isfinite(data).all():
                 raise ParseError(f"{path}: tensor {entry['name']!r} holds a non-finite value")
             params[entry["name"]] = T.Tensor(data, requires_grad=entry["trainable"])

@@ -147,9 +147,9 @@ def cmd_predict(args):
         for pair, row in zip(batch.items, out):
             if spec.kind == "classify":
                 probs_txt = ",".join(f"{p:.6f}" for p in row)
-                print(f"{pair.pair_id}\t{spec.labels[int(np.argmax(row))]}\t{probs_txt}")
+                print(f"{pair.line_no}\t{spec.labels[int(np.argmax(row))]}\t{probs_txt}")
             else:
-                print(f"{pair.pair_id}\t{pair.group_id}\t{float(row[0]):.6f}")
+                print(f"{pair.line_no}\t{pair.group_id}\t{float(row[0]):.6f}")
     return 0
 
 

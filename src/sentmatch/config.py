@@ -59,6 +59,11 @@ class TrainConfig:
         task_spec(self.task)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ConfigError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
             raise ConfigError(f"grad_clip must be finite and non-negative (0 disables clipping), got {self.grad_clip}")
         if self.batch_size < 1 or self.epochs < 1:

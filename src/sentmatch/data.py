@@ -107,7 +107,7 @@ class TokenizedPair:
     tokens_a: list
     tokens_b: list
     label: int
-    pair_id: int
+    line_no: int  # the record's input line (RawPair.line_no): ids join back to the input
     group_id: str | None
     sid_a: str
     sid_b: str
@@ -147,7 +147,7 @@ def tokenize_pairs(pairs, vocab, cap):
     """
     out = []
     skipped = 0
-    for i, p in enumerate(pairs):
+    for p in pairs:
         toks_a = tokenize(p.sent_a)[:cap]
         toks_b = tokenize(p.sent_b)[:cap]
         if not toks_a or not toks_b:
@@ -162,7 +162,7 @@ def tokenize_pairs(pairs, vocab, cap):
                 tokens_a=toks_a,
                 tokens_b=toks_b,
                 label=p.label,
-                pair_id=i,
+                line_no=p.line_no,
                 group_id=p.group_id,
                 sid_a=sentence_id(toks_a),
                 sid_b=sentence_id(toks_b),

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import task_spec
-from .encoder import encode_pair, row_mask
+from .encoder import encode_pair
 from .errors import CacheMissError
 from .heads import head_forward, pool_meanmax, pool_splice
 from .interaction import interact
@@ -86,20 +86,20 @@ class MatchModel:
         `ids` and `mask` are the side's padded (batch, n) matrices, with
         one token list and one sentence id per row. Static rows come from
         the trainable table (so gradients reach it); contextual rows are
-        constants, fetched per sentence. Padded rows are forced to zero
-        and training applies dropout right after lookup.
+        constants, fetched once per distinct sentence in the batch.
+        Padded rows are forced to zero and training applies dropout right
+        after lookup (`tensor.embed_rows`).
         """
-        x = T.take_rows(self.params["embed.static"], ids)
         ctx_dim = self.cfg.effective_contextual_dim
+        contexts = None
         if ctx_dim > 0:
-            ctx = np.zeros(ids.shape + (ctx_dim,))
-            for row, toks, sid in zip(ctx, tokens, sids):
-                row[: len(toks)] = np.asarray(self.provider.vectors(sid, toks), dtype=np.float64)
-            x = T.concat([x, T.constant(ctx)], axis=-1)
-        x = T.mul(x, row_mask(mask, x.shape[-1]))
-        if train and self.cfg.dropout > 0.0:
-            x = T.dropout(x, self.cfg.dropout, rng)
-        return x
+            fetched = {}
+            for toks, sid in zip(tokens, sids):
+                if sid not in fetched:
+                    fetched[sid] = self.provider.vectors(sid, toks)
+            contexts = [fetched[sid] for sid in sids]
+        rate = self.cfg.dropout if train else 0.0
+        return T.embed_rows(self.params["embed.static"], ids, mask, contexts, ctx_dim, rate, rng)
 
     def forward_pair(self, batch, train=False, rng=None):
         """Class probabilities (classification) or scores (ranking), (batch, K).

@@ -6,9 +6,9 @@ vector-Jacobian closure on the output node; `Tensor.backward()` replays
 the recorded graph once, in reverse topological order, accumulating
 gradients into every node that requires them.
 
-Row gathers (`take_rows`) accumulate row-sparse: each call records only
-the rows it read and their summed gradients. Backward scatters an
-interior node's records into one dense buffer when the replay reaches
+Row gathers (`take_rows`, `embed_rows`) accumulate row-sparse: each
+call records only the rows it read and their summed gradients. Backward
+scatters an interior node's records into one dense buffer when the replay reaches
 that node, but leaves a leaf's records in place: a lookup into a large
 table therefore costs work in proportion to the rows it touched, not to
 the table. Reading a leaf's `grad` still gives a plain dense ndarray of
@@ -640,21 +640,69 @@ def take_rows(x, indices):
     idx = np.asarray(indices, dtype=np.intp)
 
     def vjp(g):
-        rows = idx.reshape(-1) % x.shape[0]  # in-range negative indices name the rows they read
-        g = g.reshape(rows.size, x.shape[1])
-        # slot of each row, in first-occurrence order; a dict beats np.unique
-        # on the short index lists of sentences and pooled rows
-        slot = {}
-        inverse = [slot.setdefault(i, len(slot)) for i in rows.tolist()]
-        if len(slot) == len(inverse):
-            values = g
-        else:
-            rows = np.fromiter(slot, dtype=np.intp, count=len(slot))
-            values = np.zeros((rows.size, x.shape[1]))
-            np.add.at(values, inverse, g)
-        _accumulate_rows(x, rows, values)
+        _accumulate_gathered(x, idx, g)
 
     return _node(x.data[idx], (x,), vjp)
+
+
+def _accumulate_gathered(x, idx, g):
+    """Record on `x` the gradient `g` of its rows gathered by `idx`, row-sparse (see take_rows)."""
+    rows = idx.reshape(-1) % x.shape[0]  # in-range negative indices name the rows they read
+    g = g.reshape(rows.size, x.shape[1])
+    # slot of each row, in first-occurrence order; a dict beats np.unique
+    # on the short index lists of sentences and pooled rows
+    slot = {}
+    inverse = [slot.setdefault(i, len(slot)) for i in rows.tolist()]
+    if len(slot) == len(inverse):
+        values = g
+    else:
+        rows = np.fromiter(slot, dtype=np.intp, count=len(slot))
+        values = np.zeros((rows.size, x.shape[1]))
+        np.add.at(values, inverse, g)
+    _accumulate_rows(x, rows, values)
+
+
+def embed_rows(table, ids, mask, contexts=None, ctx_dim=0, rate=0.0, rng=None):
+    """One side's word inputs: table rows joined to constant contextual rows, masked, dropped out.
+
+    Equal, bit for bit and in its draws from `rng`, to
+    `dropout(mul(concat([take_rows(table, ids), constant(ctx)], -1), mask
+    repeated over the width), rate, rng)`, where `ctx` is zero but for
+    `contexts[i]` in the first rows of item i. Where that composition
+    makes a (..., n, width) array at each step, this op writes one
+    `ids.shape + (d + ctx_dim,)` buffer in place. `contexts` holds one
+    (len_i, ctx_dim) array per item of `ids` (any float dtype, converted
+    on assignment), or is None when `ctx_dim` is 0. `rate` 0 (as at
+    inference) draws nothing. Only the table gets a gradient, through its
+    row-sparse records as in take_rows, so of the dropout scale only the
+    table's columns are kept.
+    """
+    if table.ndim != 2:
+        raise ShapeError(f"embed_rows expects a 2-d table, got {table.shape}")
+    idx = np.asarray(ids, dtype=np.intp)
+    d = table.shape[1]
+    if ctx_dim == 0:
+        buf = table.data[idx]
+    else:
+        buf = np.zeros(idx.shape + (d + ctx_dim,))
+        buf[..., :d] = table.data[idx]
+        for row, rows in zip(buf, contexts):
+            row[: len(rows), d:] = rows
+    mask = np.asarray(mask, dtype=np.float64)[..., None]
+    buf *= mask
+    keep = None
+    if rate != 0.0:
+        scale = rng.random(buf.shape)
+        np.divide(scale >= rate, 1.0 - rate, out=scale)
+        buf *= scale
+        if table.requires_grad:
+            keep = scale[..., :d].copy()  # a view would hold the whole scale alive
+
+    def vjp(g):
+        g = g[..., :d] if keep is None else g[..., :d] * keep
+        _accumulate_gathered(table, idx, g * mask)
+
+    return _node(buf, (table,), vjp)
 
 
 def tile_rows(x, n):

@@ -249,10 +249,12 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
             else:
                 loss = _ranking_loss(model, batch, neg, train=True, rng=drop_rng)
             loss.backward()
-            if not np.isfinite(loss.data):
+            # the graph and its gradients go now, not when the next step's forward is built
+            value, loss = float(loss.data), None
+            if not np.isfinite(value):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch} batch {batch_idx}: "
-                    f"loss={float(loss.data)!r}, max|grad|={_max_abs_grad(params)!r}"
+                    f"loss={value!r}, max|grad|={_max_abs_grad(params)!r}"
                 )
             clip_gradients(params, cfg.grad_clip, live)
             adam_t += 1
@@ -260,7 +262,7 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
                 adam_step(params, m_state, v_state, adam_t, cfg, live)
             except NumericalError as exc:
                 raise NumericalError(f"epoch {epoch} batch {batch_idx}: {exc}") from None
-            losses.append(float(loss.data))
+            losses.append(value)
         # wall time stays out of the record: history must be reproducible bitwise
         record = {
             "epoch": epoch,

@@ -267,6 +267,29 @@ def take_rows_dense_grad(n_rows, idx, g):
     return gx
 
 
+def embed_rows_composed(ops, table, ids, mask, contexts, ctx_dim, rate, rng):
+    """One side's embeddings as the model first built them, from engine ops.
+
+    `ops` is the tensor engine (passed in, not imported). Gathers the
+    table rows, concatenates a zero (..., n, ctx_dim) constant holding
+    each item's contextual rows, multiplies by the position mask repeated
+    over the width, and applies dropout at `rate`: the reference for
+    `embed_rows`, which writes one buffer where these ops make an array
+    each.
+    """
+    x = ops.take_rows(table, ids)
+    if ctx_dim > 0:
+        ctx = np.zeros(np.shape(ids) + (ctx_dim,))
+        for row, rows in zip(ctx, contexts):
+            row[: len(rows)] = np.asarray(rows, dtype=np.float64)
+        x = ops.concat([x, ops.constant(ctx)], axis=-1)
+    width = x.shape[-1]
+    x = ops.mul(x, ops.constant(np.repeat(np.asarray(mask, dtype=np.float64)[..., None], width, axis=-1)))
+    if rate > 0.0:
+        x = ops.dropout(x, rate, rng)
+    return x
+
+
 def save_checkpoint_with_moments(path, ck, adam_m, adam_v, adam_t):
     """Write `ck` in the earlier checkpoint layout that also held Adam state.
 

@@ -47,7 +47,20 @@ class TestTrainCommand:
         code = main(["train", "--train", str(train_path), "--out", str(tmp_path / "x"), "--only_h2p", "1", "--only_p2h", "1", *TINY])
         assert code == 1
 
-    @pytest.mark.parametrize("flag, value", [("--batch_size", "0"), ("--lr", "nan"), ("--kernel", "-1"), ("--seed", "-1")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--batch_size", "0"),
+            ("--lr", "nan"),
+            ("--kernel", "-1"),
+            ("--seed", "-1"),
+            ("--beta1", "1"),
+            ("--beta1", "-0.5"),
+            ("--beta2", "1.5"),
+            ("--adam_eps", "0"),
+            ("--adam_eps", "nan"),
+        ],
+    )
     def test_out_of_range_value_is_a_usage_error(self, corpus, tmp_path, capsys, flag, value):
         train_path, _ = corpus
         out = tmp_path / "x"
@@ -151,6 +164,27 @@ class TestPredictCommand:
             lines = captured.out.splitlines()
             assert len(lines) == 24 and all(len(line.split("\t")) == 3 for line in lines)
             assert captured.err == skipped_line
+
+    def test_first_column_is_the_records_input_line(self, corpus, tmp_path, capsys):
+        train_path, _ = corpus
+        out = tmp_path / "run"
+        assert main(["train", "--train", str(train_path), "--out", str(out), "--quiet", *TINY]) == 0
+        data = tmp_path / "dev.tsv"
+        rows = [
+            "entailment\ta dog runs\ta dog moves",
+            "neutral\ta cat sleeps\ta cat rests",
+            "contradiction\ta man eats\ta man sleeps",
+            "-\tno consensus here\ta dog runs",  # dropped by the reader
+            "neutral\t   \ta dog runs",  # tokenizes to nothing: skipped
+            "entailment\ta woman sings\ta woman makes music",
+            "neutral\ta bird flies\ta bird is high",
+        ]
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--checkpoint", str(out / "checkpoint.bin"), "--data", str(data)]) == 0
+        captured = capsys.readouterr()
+        assert [line.split("\t")[0] for line in captured.out.splitlines()] == ["1", "2", "3", "6", "7"]
+        assert captured.err == "skipped=1\n"
 
 
 class TestPrepVocab:

@@ -51,6 +51,15 @@ class TestValidation:
             ("kernel", -1),
             ("kernel", 0),
             ("seed", -1),
+            ("beta1", 1.0),
+            ("beta1", -0.5),
+            ("beta1", float("nan")),
+            ("beta2", 1.5),
+            ("beta2", 1.0),
+            ("adam_eps", 0.0),
+            ("adam_eps", -1e-8),
+            ("adam_eps", float("nan")),
+            ("adam_eps", float("inf")),
         ],
     )
     def test_out_of_range_value_rejected(self, field, value):

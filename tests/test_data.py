@@ -124,11 +124,11 @@ class TestBuildBatches:
         assert sum(len(b) for b in batches) == 1
 
     def test_no_shuffle_preserves_input_order(self):
-        pairs = [RawPair(i % 2, f"text {i}", f"pair {i}") for i in range(10)]
+        pairs = [RawPair(i % 2, f"text {i}", f"pair {i}", line_no=i + 1) for i in range(10)]
         vocab = build_vocab(pairs)
         batches, _ = build_batches(pairs, vocab, "quora", batch_size=4)
-        flat = [p.pair_id for b in batches for p in b.items]
-        assert flat == sorted(flat)
+        flat = [p.line_no for b in batches for p in b.items]
+        assert flat == list(range(1, 11))
 
 
 class TestRankingTriples:

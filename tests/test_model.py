@@ -111,6 +111,15 @@ class TestStructure:
         out = model.forward_pair(batch.pairs[0])
         assert out.shape == (1, 1)
 
+    def test_contextual_rows_are_fetched_once_per_distinct_sentence(self):
+        model, batch = _build(_cfg(), _fixture_pairs())  # every row shares its premise
+        calls, fetch = [], model.provider.vectors
+        model.provider.vectors = lambda sid, tokens: calls.append(sid) or fetch(sid, tokens)
+        model.forward_pair(batch)
+        sides = [[p.sid_a for p in batch.items], [p.sid_b for p in batch.items]]
+        assert calls == [sid for side in sides for sid in dict.fromkeys(side)]
+        assert len(calls) == 4 < 2 * len(batch)
+
 
 class TestMaskingSoundness:
     def test_pad_perturbation_leaves_outputs_bitwise_unchanged(self):

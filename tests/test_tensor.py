@@ -167,6 +167,11 @@ def _op_cases(rng):
     ] + _batched_op_cases(rng)
 
 
+# two items of 3 positions, the second padded after 2; rows 1 and 0 (<pad>) repeat
+EMBED_IDS, EMBED_MASK = [[1, 4, 1], [2, 1, 0]], np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+EMBED_CONTEXTS = [np.linspace(-0.5, 0.5, 6, dtype=np.float32).reshape(3, 2), np.float32([[0.25, -0.75], [1.5, 0.125]])]
+
+
 def _padded_batch(rng, shape, lengths):
     """(B, n, d) activations whose rows past each item's length are zero, as after masking."""
     data = rng.normal(size=shape)
@@ -198,6 +203,12 @@ def _batched_op_cases(rng):
         ("max_along_cols_batched", _weighted(lambda ins: T.max_along(ins[0], axis=-2)), [T.parameter(spread.copy())]),
         ("take_rows_batched", _weighted(lambda ins: T.take_rows(ins[0], [[2, 0, 2], [1, 1, 0]])), [T.parameter(rng.normal(size=(3, 4)))]),
         ("tile_rows_batched", _weighted(lambda ins: T.tile_rows(ins[0], 3)), [T.parameter(rng.normal(size=(2, 1, 3)))]),
+        ("embed_rows", _weighted(lambda ins: T.embed_rows(ins[0], EMBED_IDS, EMBED_MASK)), [T.parameter(rng.normal(size=(5, 3)))]),
+        (
+            "embed_rows_ctx_dropout",
+            _weighted(lambda ins: T.embed_rows(ins[0], EMBED_IDS, EMBED_MASK, EMBED_CONTEXTS, 2, 0.3, np.random.default_rng(7))),
+            [T.parameter(rng.normal(size=(5, 3)))],
+        ),
     ]
 
 
@@ -359,6 +370,66 @@ class TestRowSparseGather:
         assert type(table.grad) is np.ndarray
         # one dense gradient buffer plus small per-lookup records
         assert peak < 1.5 * table.data.nbytes, f"backward peaked at {peak / table.data.nbytes:.2f} table sizes"
+
+
+# two sides of a batch over one table: <pad> (row 0) pads them, rows repeat
+# within a sentence, across its items and across the sides
+EMBED_SIDES = [
+    ([[3, 1, 3, 7, 2], [7, 7, 0, 0, 0], [5, 3, 9, 0, 0]], [5, 2, 3]),
+    ([[6, 3, 0], [1, 1, 1], [8, 0, 0]], [2, 3, 1]),
+]
+
+
+def _embed_sides(embed, table, contexts, ctx_dim, rate, rng):
+    """Both sides' embeddings in the model's order: side a's draws, then side b's."""
+    outs = []
+    for (ids, lengths), side_contexts in zip(EMBED_SIDES, contexts):
+        mask = (np.arange(len(ids[0])) < np.array(lengths)[:, None]).astype(np.float64)
+        outs.append(embed(table, np.array(ids), mask, side_contexts if ctx_dim else None, ctx_dim, rate, rng))
+    return outs
+
+
+class TestEmbedRows:
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    @pytest.mark.parametrize("ctx_dim", [0, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_the_composed_ops(self, seed, ctx_dim, rate, frozen):
+        rng = np.random.default_rng(seed)
+        table_data = rng.normal(size=(10, 6))
+        table_data[0] = -np.abs(table_data[0]) - 0.5  # a <pad> row of negatives: masking leaves -0.0
+        contexts = [[rng.uniform(-0.5, 0.5, size=(n, ctx_dim)).astype(np.float32) for n in lengths] for _, lengths in EMBED_SIDES]
+        runs = []
+        for embed in (T.embed_rows, lambda *args: oracles.embed_rows_composed(T, *args)):
+            table = T.Tensor(table_data.copy(), requires_grad=not frozen)
+            draws = np.random.default_rng(100 + seed)
+            outs = _embed_sides(embed, table, contexts, ctx_dim, rate, draws)
+            run = [out.data.tobytes() for out in outs] + [draws.bit_generator.state]
+            if frozen:
+                assert not any(out.requires_grad or out._vjp is not None for out in outs), "a frozen table gives constants"
+            else:
+                w = np.random.default_rng(seed).normal(size=outs[0].shape)
+                loss = T.add(T.sum_all(T.mul(T.tanh(outs[0]), T.constant(w))), T.sum_all(T.tanh(outs[1])))
+                loss.backward()
+                rows, values = T._grad_rows(table)
+                run += [rows.tolist(), values.tobytes(), table.grad.tobytes()]
+            runs.append(run)
+        assert runs[0] == runs[1]
+        if rate == 0.0:
+            assert runs[0][2] == np.random.default_rng(100 + seed).bit_generator.state, "rate 0 draws nothing"
+
+    def test_training_keeps_only_the_table_columns_of_the_dropout_scale(self):
+        table = T.parameter(np.ones((4, 8)))
+        contexts = [np.ones((16, 120), dtype=np.float32)] * 4
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = T.embed_rows(table, np.ones((4, 16), dtype=np.intp), np.ones((4, 16)), contexts, 120, 0.5, np.random.default_rng(0))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (4, 16, 128) output plus a (4, 16, 8) scale, not a whole-width one
+        assert held < 1.25 * out.data.nbytes, f"the node holds {held / out.data.nbytes:.2f} outputs"
 
 
 def _bits(x):

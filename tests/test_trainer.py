@@ -420,6 +420,35 @@ class TestTraining:
         result = train(_tiny_cfg(epochs=12, early_stop_patience=2, lr=1e-6), pairs, dev_pairs=dev)
         assert len(result.history) < 12
 
+    @pytest.mark.parametrize("task", ["snli", "wikiqa"])
+    def test_memory_peak_does_not_grow_with_steps(self, task):
+        # every step's batch has one shape: 20- and 12-token sentences, 8 rows
+        words = "the a man woman dog cat runs eats sleeps sings in on park street food ball red blue".split()
+        rng = np.random.default_rng(5)
+
+        def pairs(steps):
+            if task == "wikiqa":  # one (positive, negative) triple per question
+                return [
+                    RawPair(label, " ".join(rng.choice(words, 20)), " ".join(rng.choice(words, 12)), f"q{i}")
+                    for i in range(8 * steps)
+                    for label in (1, 0)
+                ]
+            return [RawPair(i % 3, " ".join(rng.choice(words, 20)), " ".join(rng.choice(words, 12))) for i in range(8 * steps)]
+
+        cfg = _tiny_cfg(task=task, static_dim=16, contextual_dim=64, hidden=32, epochs=1, batch_size=8, dropout=0.2)
+        provider = StubContextualProvider(64, seed=1)
+        train(cfg, pairs(1), provider=provider)  # first-call allocations stay out of the peaks
+        peaks = []
+        for steps in (1, 4):
+            tracemalloc.start()
+            try:
+                train(cfg, pairs(steps), provider=provider)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a step's graph is freed before the next step's forward is built
+        assert peaks[1] < 1.3 * peaks[0], f"4 steps peaked at {peaks[1] / peaks[0]:.2f}x one step"
+
 
 class TestEvaluate:
     def test_zero_head_on_balanced_data_is_chance(self):
@@ -538,6 +567,19 @@ class TestCheckpoint:
         loaded = evaluate_checkpoint(load_checkpoint(path), pairs)
         assert direct.metrics == loaded.metrics
         assert direct.fingerprint == loaded.fingerprint
+
+    def test_load_reads_each_tensor_into_its_array_without_a_second_copy(self, tmp_path):
+        result = train(_tiny_cfg(epochs=1, static_dim=4096), _classify_pairs(12, seed=24))
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, result.checkpoint)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < 1.3 * size, f"loading peaked at {peak / size:.2f} file sizes"
 
 
 class TestAblationSweep:
