@@ -12,10 +12,10 @@ The manifest records the epoch, the resolved config, the vocabulary, the
 metric history, and one entry per model parameter: name, shape, kind
 "param" and whether it is trainable. Optimizer state is not saved; older
 files whose manifest also has an "adam_t" step count and "adam_m" /
-"adam_v" moment entries load, with those read past. Saving the result of
-a load reproduces the file byte for byte. Saving is atomic: a file at
-the target path is replaced only by a complete new one. A file that is
-cut short, or whose manifest is not UTF-8 JSON with every expected key,
+"adam_v" moment entries load, their values skipped unread. Saving the
+result of a load reproduces the file byte for byte. Saving is atomic: a
+file at the target path is replaced only by a complete new one. A file
+that is cut short, or whose manifest is not UTF-8 JSON with every expected key,
 known tensor kinds and a valid config, or that holds a non-finite
 parameter value, raises ParseError naming the file.
 """
@@ -23,6 +23,7 @@ parameter value, raises ParseError naming the file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -93,13 +94,20 @@ def load_checkpoint(path):
             raise ParseError(f"{path}: malformed manifest ({exc})") from None
 
 
+def _value_count(shape):
+    """The number of float64 values of a manifest `shape`: a list of non-negative integers."""
+    if not all(isinstance(n, int) and n >= 0 for n in shape):
+        raise ValueError(f"shape {list(shape)} is not a list of non-negative integers")
+    return math.prod(shape)
+
+
 def _read_array(fh, shape, path, size):
     """The next float64 array of `shape` in `fh`, read straight into its own buffer.
 
     Too few bytes raise ParseError; a shape that needs more than the file
     holds is refused before anything is allocated.
     """
-    count = int(np.prod(shape)) if shape else 1
+    count = _value_count(shape)
     pos = fh.tell()
     _need(path, pos, count * 8, size)
     data = np.empty(shape, dtype="<f8")
@@ -108,17 +116,28 @@ def _read_array(fh, shape, path, size):
     return data
 
 
+def _skip_array(fh, shape, path, size):
+    """Seek past the next float64 array of `shape` without reading it; too few bytes raise ParseError."""
+    nbytes = _value_count(shape) * 8
+    pos = fh.tell()
+    _need(path, pos, nbytes, size)
+    fh.seek(pos + nbytes)
+
+
 def _from_manifest(fh, path, size, manifest):
     params = {}
     for entry in manifest["tensors"]:
         kind = entry["kind"]
         if kind != "param" and kind not in _LEGACY_KINDS:
             raise ParseError(f"{path}: unknown tensor kind {kind!r}")
-        data = _read_array(fh, tuple(entry["shape"]), path, size)
-        if kind == "param":
-            if not np.isfinite(data).all():
-                raise ParseError(f"{path}: tensor {entry['name']!r} holds a non-finite value")
-            params[entry["name"]] = T.Tensor(data, requires_grad=entry["trainable"])
+        shape = tuple(entry["shape"])
+        if kind != "param":
+            _skip_array(fh, shape, path, size)
+            continue
+        data = _read_array(fh, shape, path, size)
+        if not np.isfinite(data).all():
+            raise ParseError(f"{path}: tensor {entry['name']!r} holds a non-finite value")
+        params[entry["name"]] = T.Tensor(data, requires_grad=entry["trainable"])
     tokens = manifest["vocab"]
     vocab = Vocab(tokens[2:])
     if vocab.id_to_token != tokens:

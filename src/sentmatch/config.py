@@ -76,6 +76,8 @@ class TrainConfig:
             raise ConfigError(f"kernel width must be odd and at least 1, got {self.kernel}")
         if self.seed < 0:
             raise ConfigError(f"seed must not be negative, got {self.seed}")
+        if self.early_stop_patience < 0:
+            raise ConfigError(f"early_stop_patience must not be negative (0 disables early stopping), got {self.early_stop_patience}")
         if self.only_h2p and self.only_p2h:
             raise ConfigError("only_h2p and only_p2h are mutually exclusive")
         if self.pool not in ("splice", "meanmax"):

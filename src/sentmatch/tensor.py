@@ -4,7 +4,11 @@ Every value in the model (activations, weights, losses) is a `Tensor`
 wrapping a numpy float64 array. Operations record their inputs and a
 vector-Jacobian closure on the output node; `Tensor.backward()` replays
 the recorded graph once, in reverse topological order, accumulating
-gradients into every node that requires them.
+gradients into every node that requires them. Only leaves keep their
+gradients afterwards: an interior node's gradient is released as soon
+as its closure has consumed it, so backward holds the gradients of the
+frontier it is working on, not one per activation. The graph itself
+(parents and closures) stays, so backward can be replayed.
 
 Row gathers (`take_rows`, `embed_rows`) accumulate row-sparse: each
 call records only the rows it read and their summed gradients. Backward
@@ -57,7 +61,8 @@ class Tensor:
     shape, or None before backward). Leaf tensors are created with
     `requires_grad=True` for trainable weights and False for constants
     (masks, labels, precomputed vectors); interior nodes inherit the flag
-    from their parents.
+    from their parents. After backward only a leaf's `grad` is set; an
+    interior node's is None again.
     """
 
     __slots__ = ("data", "_grad", "requires_grad", "_parents", "_vjp", "_rows")
@@ -105,8 +110,10 @@ class Tensor:
         Visits each recorded node exactly once, children before parents.
         Gradients of every node reachable through grad-requiring edges are
         reset first, so repeated backward calls on disjoint graphs do not
-        leak accumulation across calls. Leaves keep their row records
-        (see the module docstring).
+        leak accumulation across calls. An interior node's gradient is
+        dropped right after its vjp has fired; leaves keep theirs, row
+        records included (see the module docstring). The graph is kept,
+        so calling backward again gives the same leaf gradients.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
@@ -135,6 +142,7 @@ class Tensor:
                 if node._rows is not None:
                     _flush_rows(node)
                 node._vjp(node._grad)
+                node._grad = None  # dead once its vjp has fired; only leaves keep theirs
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -44,6 +44,14 @@ class EvalReport:
 
 @dataclass
 class TrainResult:
+    """What `train` returns: the history, the best epoch and its checkpoint, and the model.
+
+    When the best epoch is the last one trained (or no epoch improved),
+    `checkpoint.params` wrap the model's own parameter arrays rather than
+    copies: a later in-place update of `model` shows in the checkpoint.
+    Otherwise the checkpoint holds a copy taken before the next Adam step.
+    """
+
     history: list
     best_epoch: int
     best_metric: float
@@ -225,6 +233,8 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
 
     history = []
     best_metric, best_epoch, best_ck = -np.inf, -1, None
+    # the live weights are the best epoch's: copied only before an Adam step overwrites them
+    best_is_live = False
     since_best = 0
     # each split is tokenized once; epochs only reorder the training pairs
     tokenized = tokenize_pairs(train_pairs, vocab, cfg.effective_max_len)[0]
@@ -249,7 +259,7 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
             else:
                 loss = _ranking_loss(model, batch, neg, train=True, rng=drop_rng)
             loss.backward()
-            # the graph and its gradients go now, not when the next step's forward is built
+            # the graph goes now, not when the next step's forward is built
             value, loss = float(loss.data), None
             if not np.isfinite(value):
                 raise NumericalError(
@@ -257,6 +267,8 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
                     f"loss={value!r}, max|grad|={_max_abs_grad(params)!r}"
                 )
             clip_gradients(params, cfg.grad_clip, live)
+            if best_is_live:
+                best_ck, best_is_live = _snapshot(model, best_epoch, vocab, history), False
             adam_t += 1
             try:
                 adam_step(params, m_state, v_state, adam_t, cfg, live)
@@ -279,13 +291,15 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
             log("epoch {epoch}: loss={train_loss:.4f}".format(**record) + (f" dev={metric:.4f}" if dev_pairs is not None else ""))
         if metric > best_metric:
             best_metric, best_epoch, since_best = metric, epoch, 0
-            best_ck = _snapshot(model, epoch, vocab, history)
+            best_ck, best_is_live = None, True
         else:
             since_best += 1
             if cfg.early_stop_patience > 0 and since_best >= cfg.early_stop_patience:
                 break
     if best_ck is None:
-        best_ck = _snapshot(model, cfg.epochs - 1, vocab, history)
+        # the best epoch's weights (or, if no epoch improved, the last) are the live ones; no step follows
+        shared = {name: T.Tensor(t.data, requires_grad=t.requires_grad) for name, t in params.items()}
+        best_ck = Checkpoint(params=shared, epoch=best_epoch if best_is_live else cfg.epochs - 1, config=cfg, vocab=vocab)
     best_ck.history = history
     return TrainResult(history, best_epoch, best_metric, best_ck, model)
 
@@ -351,7 +365,8 @@ def evaluate_checkpoint(ck, pairs, provider=None):
 
 
 def _snapshot(model, epoch, vocab, history):
-    # adam_step writes through the model's parameter arrays, so the snapshot copies them
+    # adam_step writes through the model's parameter arrays, so the snapshot copies them;
+    # train() takes one only when a step is about to overwrite the best epoch's weights
     params = {name: T.Tensor(t.data.copy(), requires_grad=t.requires_grad) for name, t in model.params.items()}
     return Checkpoint(params=params, epoch=epoch, config=model.cfg, vocab=vocab, history=list(history))
 

@@ -54,6 +54,7 @@ class TestTrainCommand:
             ("--lr", "nan"),
             ("--kernel", "-1"),
             ("--seed", "-1"),
+            ("--early_stop_patience", "-1"),
             ("--beta1", "1"),
             ("--beta1", "-0.5"),
             ("--beta2", "1.5"),

@@ -51,6 +51,7 @@ class TestValidation:
             ("kernel", -1),
             ("kernel", 0),
             ("seed", -1),
+            ("early_stop_patience", -1),
             ("beta1", 1.0),
             ("beta1", -0.5),
             ("beta1", float("nan")),

@@ -139,6 +139,18 @@ class TestCheckpointFile:
         with pytest.raises(ParseError, match=str(path)):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("kind", ["param", "adam_m"])
+    def test_negative_shape_is_a_parse_error(self, tmp_path, legacy_ck_blob, kind):
+        # a skipped legacy tensor is refused like a read one, never seeked backwards past
+        end = _manifest_end(legacy_ck_blob)
+        manifest = legacy_ck_blob[16:end]
+        at = manifest.index(b'"shape":[', manifest.index(b'"kind":"' + kind.encode() + b'"')) + len(b'"shape":[')
+        manifest = manifest[:at] + b"-8," + manifest[at:]
+        path = _write(tmp_path, "ck.bin", legacy_ck_blob[:8] + struct.pack("<Q", len(manifest)) + manifest + legacy_ck_blob[end:])
+        with pytest.raises(ParseError, match=str(path)) as err:
+            load_checkpoint(path)
+        assert "negative" in str(err.value)
+
     def test_eval_on_a_truncated_checkpoint_exits_2_without_a_traceback(self, tmp_path, ck_blob):
         dev = tmp_path / "dev.tsv"
         write_tsv(dev, make_classification_pairs(6, seed=2))

@@ -258,6 +258,39 @@ class TestBackward:
         out.backward()
         np.testing.assert_array_equal(x.grad, first)
 
+    def test_only_leaves_keep_their_gradients(self, rng):
+        table, w = T.parameter(rng.normal(size=(10, 4))), T.parameter(rng.normal(size=(4, 4)))
+        frozen = T.constant(rng.normal(size=(3, 4)))
+        loss = T.sum_all(T.tanh(T.matmul(T.add(T.take_rows(table, [3, 1, 3]), frozen), w)))
+        loss.backward()
+        interior, stack = [], [loss]
+        while stack:
+            node = stack.pop()
+            if node._vjp is not None:
+                interior.append(node)
+                stack.extend(node._parents)
+        assert len(interior) == 5
+        assert all(node.grad is None for node in interior)
+        assert T._grad_rows(table)[0].tolist() == [1, 3], "a leaf keeps its row records"
+        assert w.grad.shape == (4, 4) and frozen.grad is None
+
+    def test_backward_memory_does_not_grow_with_chain_length(self):
+        x = T.parameter(np.ones(1 << 17))  # 1 MB
+        peaks = []
+        for length in (4, 32):
+            h = x
+            for _ in range(length):
+                h = T.tanh(T.mul_const(h, 0.5))
+            loss = T.sum_all(h)
+            tracemalloc.start()
+            try:
+                loss.backward()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # each interior gradient is freed once its vjp has fired
+        assert peaks[1] < peaks[0] + x.data.nbytes, f"{peaks[1] / x.data.nbytes:.1f} MB for 32 links vs {peaks[0] / x.data.nbytes:.1f} MB for 4"
+
     def test_deep_chain_terminates(self):
         x = T.parameter(np.ones(4))
         h = x
@@ -294,16 +327,30 @@ def dense_take_rows(x, indices):
 SENTENCES = [[3, 1, 3, 7], [7, 7, 0], [3, 9, -1, 3, 5], [2], [7, 3, 3, 3, 3], [4, 8, 6]]
 
 
+def _tap(x, sink):
+    """`x` through an identity node whose vjp appends the gradient reaching it to `sink`.
+
+    Backward frees an interior node's gradient once its vjp has fired, so
+    a test reads an interior gradient through a tap.
+    """
+
+    def vjp(g):
+        sink.append(g)
+        T._accumulate(x, g)
+
+    return T._node(x.data, (x,), vjp)
+
+
 def _gather_graph(gather, table, w, mix_dense):
-    """Loss over several lookups plus the interior nodes it reads.
+    """Loss over several lookups plus, per hidden node, the list its gradient lands in.
 
     With `mix_dense` each hidden node is also read by a gather, before or
     after a dense op depending on the sentence, as the heads do.
     """
     loss, hidden = None, []
     for i, ids in enumerate(SENTENCES):
-        h = T.tanh(T.matmul(gather(table, ids), w))
-        hidden.append(h)
+        hidden.append([])
+        h = _tap(T.tanh(T.matmul(gather(table, ids), w)), hidden[-1])
         if mix_dense:
             reads = [gather(h, [0, len(ids) - 1, 0]), T.relu(h)]
             h = T.concat(reads[:: 1 if i % 2 else -1], axis=0)
@@ -323,7 +370,8 @@ class TestRowSparseGather:
             table, w = T.parameter(table_data.copy()), T.parameter(w_data.copy())
             loss, hidden = _gather_graph(gather, table, w, mix_dense)
             loss.backward()
-            grads.append([table.grad, w.grad] + [h.grad for h in hidden])
+            assert all(len(sink) == 1 for sink in hidden), "each hidden node's vjp fires once"
+            grads.append([table.grad, w.grad] + [sink[0] for sink in hidden])
         sparse, dense = grads
         assert type(sparse[0]) is np.ndarray and sparse[0].shape == table_data.shape
         for got, want in zip(sparse, dense):

@@ -226,7 +226,6 @@ class TestRowSparseAdam:
             T.sum_all(T.tanh(T.take_rows(table, ids))).backward()
             adam_step(model.params, m, v, t=t, cfg=cfg, live=live)
 
-        trained = [t.data.tobytes() for t in result.checkpoint.params.values()]
         step(1, [2, 3])
         ck = _snapshot(model, 0, result.checkpoint.vocab, [])
         before = [t.data.tobytes() for t in ck.params.values()]
@@ -236,7 +235,8 @@ class TestRowSparseAdam:
         assert live["embed.static"].tolist() == [2, 3, 4]
         assert table.data[[2, 3, 4]].tobytes() != live_rows
         assert [t.data.tobytes() for t in ck.params.values()] == before
-        assert [t.data.tobytes() for t in result.checkpoint.params.values()] == trained, "the last epoch's checkpoint is a copy too"
+        # nothing trains after the last epoch, so its checkpoint is not a copy
+        assert all(result.checkpoint.params[n].data is p.data for n, p in model.params.items())
 
     def test_clip_sums_a_table_adam_updates_whole_dense(self):
         tables = {n: T.parameter(np.ones((10, 2))) for n in ("rows", "whole")}
@@ -414,6 +414,35 @@ class TestTraining:
             histories.append(result.history)
         assert histories[0] == histories[1] and blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("epochs, copies", [(3, 2), (1, 0)])
+    def test_best_epoch_is_copied_only_before_a_step_overwrites_it(self, spy, epochs, copies):
+        spy(trainer_mod, "_snapshot")
+        result = train(_tiny_cfg(epochs=epochs, dropout=0.0), _classify_pairs(48, seed=1))
+        losses = [h["train_loss"] for h in result.history]
+        assert losses == sorted(losses, reverse=True) and len(set(losses)) == epochs, "every epoch improves"
+        assert spy.calls == ["_snapshot"] * copies
+        assert result.best_epoch == result.checkpoint.epoch == epochs - 1
+        assert all(result.checkpoint.params[n].data is p.data for n, p in result.model.params.items())
+
+    @pytest.mark.parametrize("task, seed, best", [("snli", 2, 2), ("wikiqa", 0, 0)])
+    def test_an_earlier_best_epoch_is_the_run_cut_after_it(self, task, seed, best):
+        # shuffling and dropout are keyed by (seed, epoch), so the first best + 1 epochs of both runs agree
+        if task == "snli":
+            pairs, dev = _classify_pairs(48, seed=30 + seed), _classify_pairs(24, seed=40 + seed)
+        else:
+            pairs, dev = _ranking_pairs(10, seed=30 + seed), _ranking_pairs(8, seed=40 + seed)
+        cfg = _tiny_cfg(task=task, epochs=5, seed=seed, lr=0.01)
+        full = train(cfg, pairs, dev_pairs=dev)
+        cut = train(dataclasses.replace(cfg, epochs=best + 1), pairs, dev_pairs=dev)
+        assert full.best_epoch == cut.best_epoch == best
+        assert full.history[: best + 1] == cut.history
+        assert full.checkpoint.epoch == cut.checkpoint.epoch == best
+        assert sorted(full.checkpoint.params) == sorted(cut.checkpoint.params)
+        for name, t in full.checkpoint.params.items():
+            assert t.requires_grad == cut.checkpoint.params[name].requires_grad
+            assert t.data.tobytes() == cut.checkpoint.params[name].data.tobytes(), name
+        assert full.model.params["head.w"].data.tobytes() != full.checkpoint.params["head.w"].data.tobytes()
+
     def test_early_stopping_cuts_the_run_short(self):
         pairs = _classify_pairs(24, seed=6)
         dev = _classify_pairs(12, seed=7)
@@ -580,6 +609,25 @@ class TestCheckpoint:
             tracemalloc.stop()
         size = path.stat().st_size
         assert peak < 1.3 * size, f"loading peaked at {peak / size:.2f} file sizes"
+
+
+    def test_load_skips_legacy_optimizer_moments_unread(self, tmp_path, rng):
+        result = train(_tiny_cfg(epochs=1, static_dim=4096), _classify_pairs(12, seed=24))
+        ck = result.checkpoint
+        moments = [{n: rng.normal(size=t.shape) for n, t in ck.params.items() if t.requires_grad} for _ in range(2)]
+        plain, legacy = tmp_path / "ck.bin", tmp_path / "legacy.bin"
+        save_checkpoint(plain, ck)
+        oracles.save_checkpoint_with_moments(legacy, ck, *moments, adam_t=1)
+        peaks = []
+        for path in (plain, legacy):
+            tracemalloc.start()
+            try:
+                load_checkpoint(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert legacy.stat().st_size > 2.5 * plain.stat().st_size
+        assert peaks[1] < 1.2 * peaks[0], f"the legacy load peaked at {peaks[1] / peaks[0]:.2f}x the plain load"
 
 
 class TestAblationSweep:
