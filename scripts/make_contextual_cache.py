@@ -18,16 +18,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sentmatch.data import build_vocab, read_dataset, task_spec, tokenize_pairs
-from sentmatch.embedding import StubContextualProvider, write_contextual_cache
+from sentmatch.data import read_dataset, task_spec, tokenize_pairs
+from sentmatch.embedding import StubContextualProvider, Vocab, write_contextual_cache
 
 
 def sentence_records(paths, spec, cap, provider):
     """(sentence id, vectors) for each distinct sentence of the splits, in first-seen order."""
     seen = set()
     for path in paths:
-        pairs = read_dataset(path, spec)
-        tokenized, _ = tokenize_pairs(pairs, build_vocab(pairs), cap)
+        # only tokens and sentence ids are read, so no vocabulary is built
+        tokenized, _ = tokenize_pairs(read_dataset(path, spec), Vocab(), cap)
         for p in tokenized:
             for sid, tokens in ((p.sid_a, p.tokens_a), (p.sid_b, p.tokens_b)):
                 if sid not in seen:

@@ -176,12 +176,28 @@ def random_static_vectors(vocab, dim, seed=0):
     return matrix
 
 
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's increment
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_ONE_BITS = np.uint32(0x3F800000)  # float32 1.0
+
+
 class StubContextualProvider:
     """Deterministic stand-in for a real contextual embedder.
 
-    Each (token, position) pair hashes to a seed, and the seed drives a
-    small uniform vector, so tests get stable per-occurrence vectors
-    without shipping a language model.
+    A token at position `pos` gets a 64-bit key: the blake2b-64 digest of
+    `f"{seed}|{pos}|{tok}"`, read little-endian. Its row is built from
+    SplitMix64 outputs seeded with that key (Steele, Lea & Flood, OOPSLA
+    2014): output j (j = 1, 2, ...) is the SplitMix64 mix of
+    `key + j * 0x9E3779B97F4A7C15` (mod 2^64), and gives columns 2j-2 and
+    2j-1 from its low and high 32-bit halves. Each half's top 23 bits
+    become the mantissa of a float32 in [1, 2), and 1.5 is subtracted
+    (exactly), so values are uniform on a 2^-23 grid in [-0.5, 0.5).
+
+    A row depends only on (seed, position, token), not on the sentence
+    id, and the arithmetic is on integers, so the values do not depend
+    on the host's byte order. A sentence's rows come from one vectorized
+    pass over a (len, ceil(dim / 2)) grid.
     """
 
     def __init__(self, dim, seed=0):
@@ -189,13 +205,25 @@ class StubContextualProvider:
         self.seed = seed
 
     def vectors(self, sid, tokens):
-        rows = np.empty((len(tokens), self.dim), dtype=np.float32)
-        for pos, tok in enumerate(tokens):
-            digest = hashlib.blake2b(
-                f"{self.seed}|{pos}|{tok}".encode("utf-8"), digest_size=8
-            ).digest()
-            gen = np.random.default_rng(int.from_bytes(digest, "little"))
-            rows[pos] = gen.uniform(-0.5, 0.5, size=self.dim).astype(np.float32)
+        digests = b"".join(
+            hashlib.blake2b(f"{self.seed}|{pos}|{tok}".encode("utf-8"), digest_size=8).digest()
+            for pos, tok in enumerate(tokens)
+        )
+        keys = np.frombuffer(digests, dtype="<u8")
+        steps = np.arange(1, (self.dim + 1) // 2 + 1, dtype=np.uint64) * _GOLDEN_GAMMA
+        z = keys[:, None] + steps  # integer arrays wrap mod 2^64
+        shifted = np.empty_like(z)  # one scratch array for the three shifts
+        z ^= np.right_shift(z, np.uint64(30), out=shifted)
+        z *= _MIX1
+        z ^= np.right_shift(z, np.uint64(27), out=shifted)
+        z *= _MIX2
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+        # little-endian 32-bit words: each output's low half, then its high half
+        halves = z.astype("<u8", copy=False).view("<u4")[:, : self.dim]
+        bits = np.right_shift(halves, np.uint32(9), dtype=np.uint32)
+        bits |= _ONE_BITS
+        rows = bits.view(np.float32)
+        rows -= np.float32(1.5)
         return rows
 
 
@@ -290,7 +318,8 @@ def read_contextual_cache(path):
     opens and the process's memory does not grow with the file. The file
     must therefore not be rewritten in place while the records are in use
     (`write_contextual_cache` replaces it by rename, which is safe). Any
-    extent past the end of the file raises ParseError naming the byte.
+    extent past the end of the file raises ParseError naming the byte, and
+    so does a record's first lookup if it holds a non-finite value.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -320,7 +349,7 @@ def read_contextual_cache(path):
             pos += n_rows * dim * 4
             fh.seek(pos)
         buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    return dim, _CacheRecords(buf, dim, index)
+    return dim, _CacheRecords(path, buf, dim, index)
 
 
 def _need(path, pos, count, size):
@@ -346,10 +375,13 @@ class _CacheRecords(Mapping):
     """Read-only {sentence id: (rows, dim) float32 view} over a mapped cache.
 
     A view is made on a sentence's first lookup and kept: epochs look the
-    same sentences up again, and a view holds no copy of the rows.
+    same sentences up again, and a view holds no copy of the rows. Its
+    values are checked once, when the view is made: a NaN or infinity
+    raises ParseError naming the file, the sentence id and the byte.
     """
 
-    def __init__(self, buf, dim, index):
+    def __init__(self, path, buf, dim, index):
+        self._path = path
         self._buf = buf
         self._dim = dim
         self._index = index
@@ -361,6 +393,10 @@ class _CacheRecords(Mapping):
             offset, n_rows = self._index[sid]
             count = n_rows * self._dim
             rows = np.frombuffer(self._buf, dtype="<f4", count=count, offset=offset).reshape(n_rows, self._dim)
+            finite = np.isfinite(rows)
+            if not finite.all():
+                at = offset + 4 * int(np.argmin(finite))  # the first False of the flattened rows
+                raise ParseError(f"{self._path}: contextual record {sid} holds a non-finite value at byte {at}")
             self._views[sid] = rows
         return rows
 

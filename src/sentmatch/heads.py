@@ -93,6 +93,8 @@ def hinge_loss(score_pos, score_neg):
     """
     if score_pos.shape != score_neg.shape:
         raise DataError(f"score shapes differ: {score_pos.shape} vs {score_neg.shape}")
-    per_triple = T.relu(T.add_const(T.sub(score_neg, score_pos), 1.0))
+    # (1 - pos) + neg, as documented: (neg - pos) + 1 can round a margin of
+    # 1e-124 away to a loss of 0
+    per_triple = T.relu(T.add(score_neg, T.rsub_const(1.0, score_pos)))
     n = max(score_pos.size, 1)
     return T.mul_const(T.sum_all(per_triple), 1.0 / n)

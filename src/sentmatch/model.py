@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .data import task_spec
 from .encoder import encode_pair
-from .errors import CacheMissError
+from .errors import CacheMissError, DataError
 from .heads import head_forward, pool_meanmax, pool_splice
 from .interaction import interact
 
@@ -77,8 +77,13 @@ class MatchModel:
         self.params = params
         self.provider = provider
         self.task = task_spec(cfg.task)
-        if cfg.effective_contextual_dim > 0 and provider is None:
+        width = cfg.effective_contextual_dim
+        if width > 0 and provider is None:
             raise CacheMissError("config asks for contextual vectors but no provider was given")
+        if width > 0 and provider.dim != width:
+            source = getattr(provider, "path", None)
+            where = f"contextual cache {source}" if source is not None else "contextual provider"
+            raise DataError(f"{where} has {provider.dim}-d vectors, config asks for contextual_dim {width}")
 
     def embed_sentence(self, ids, tokens, sids, mask, train=False, rng=None):
         """Graph node for one side of a batch: its (batch, n, d) embeddings.

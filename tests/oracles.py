@@ -5,6 +5,7 @@ plain numpy / python loops and never imports the package's tensor engine,
 so a bug in the engine cannot hide in the oracle.
 """
 
+import hashlib
 import json
 import math
 import struct
@@ -172,6 +173,31 @@ def cross_entropy_direct(probs, labels, mean=True):
 def hinge_direct(pos, neg):
     vals = [max(0.0, 1.0 - p + q) for p, q in zip(np.ravel(pos), np.ravel(neg))]
     return sum(vals) / len(vals)
+
+
+def stub_rows_splitmix(seed, dim, tokens):
+    """The stub provider's rows from its definition, one Python int at a time.
+
+    Key: blake2b-64 of "seed|pos|tok", little-endian. Output j of
+    SplitMix64 seeded with the key mixes key + j * golden gamma; its low
+    then high 32-bit halves give two values, (1 + top 23 bits / 2^23) - 1.5.
+    """
+    mask = (1 << 64) - 1
+    rows = []
+    for pos, tok in enumerate(tokens):
+        key = int.from_bytes(hashlib.blake2b(f"{seed}|{pos}|{tok}".encode("utf-8"), digest_size=8).digest(), "little")
+        row = []
+        j = 1
+        while len(row) < dim:
+            z = (key + j * 0x9E3779B97F4A7C15) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            z ^= z >> 31
+            for half in (z & 0xFFFFFFFF, z >> 32):
+                row.append((1.0 + (half >> 9) / 2.0**23) - 1.5)
+            j += 1
+        rows.append(row[:dim])
+    return np.array(rows, dtype=np.float32).reshape(len(tokens), dim)
 
 
 def accuracy_count(preds, labels):

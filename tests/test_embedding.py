@@ -1,3 +1,4 @@
+import hashlib
 import os
 import tracemalloc
 from unittest import mock
@@ -279,7 +280,8 @@ class TestContextualCache:
     def test_rows_are_read_only_views_with_the_written_bits(self, tmp_path):
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2**32, size=(7, 5), dtype=np.uint32)
-        bits[0, :3] = [0x80000000, 0x00000001, 0x7FC00001]  # -0.0, the least subnormal, a NaN payload
+        bits[(bits & 0x7F800000) == 0x7F800000] ^= 0x00800000  # NaN and infinity are refused: make them finite
+        bits[0, :3] = [0x80000000, 0x00000001, 0x7F7FFFFF]  # -0.0, the least subnormal, the largest finite
         records = [("a", bits.view(np.float32)), ("é", np.zeros((0, 5), np.float32)), ("b", bits[:2].view(np.float32))]
         path = tmp_path / "ctx.bin"
         write_contextual_cache(path, 5, records)
@@ -291,6 +293,33 @@ class TestContextualCache:
             assert not got.flags.writeable
         with pytest.raises(ValueError):
             loaded["a"][0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_record_names_the_file_the_sentence_and_the_byte(self, tmp_path, bad):
+        rows = np.zeros((3, 4), np.float32)
+        rows[1, 2] = rows[2, 0] = bad
+        path = tmp_path / "ctx.bin"
+        write_contextual_cache(path, 4, [("clean", np.ones((2, 4), np.float32)), ("dirty", rows)])
+        _, loaded = read_contextual_cache(path)
+        assert loaded["clean"].sum() == 8.0
+        with pytest.raises(ParseError, match=rf"{path}: contextual record dirty holds a non-finite value at byte (\d+)") as err:
+            loaded["dirty"]
+        at = int(err.value.args[0].rsplit(" ", 1)[1])
+        blob = path.read_bytes()
+        assert blob[at : at + 4] == rows[1, 2].tobytes()  # the first bad value in file order
+        assert at == blob.index(b"dirty") + len("dirty") + 4 + 4 * (1 * 4 + 2)
+        with pytest.raises(ParseError):
+            loaded["dirty"]  # a refused record is not kept
+
+    def test_a_clean_record_is_checked_once(self, tmp_path):
+        path = tmp_path / "ctx.bin"
+        write_contextual_cache(path, 4, ((f"s{i}", np.full((2, 4), i, np.float32)) for i in range(3)))
+        _, loaded = read_contextual_cache(path)
+        with mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
+            for _ in range(4):
+                for sid in ("s0", "s1", "s2"):
+                    assert loaded[sid].shape == (2, 4)
+        assert isfinite.call_count == 3
 
     def test_an_atomic_rewrite_leaves_open_records_intact(self, tmp_path):
         path = tmp_path / "ctx.bin"
@@ -342,6 +371,52 @@ class TestStubProvider:
     def test_position_sensitivity(self):
         rows = StubContextualProvider(8, seed=3).vectors("sid", ["cat", "cat"])
         assert not np.array_equal(rows[0], rows[1])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 1024])
+    def test_rows_follow_the_splitmix64_definition(self, dim):
+        tokens = ["the", "cat", "sat", "the", "naïve", ""]
+        got = StubContextualProvider(dim, seed=11).vectors("sid", tokens)
+        assert got.tobytes() == oracles.stub_rows_splitmix(11, dim, tokens).tobytes()
+
+    def test_row_depends_only_on_seed_position_and_token(self):
+        stub = StubContextualProvider(16, seed=3)
+        a = stub.vectors("first", ["a", "cat", "sat"])
+        b = stub.vectors("second", ["the", "cat", "ran", "off"])
+        c = stub.vectors(sentence_id(["x", "cat"]), ["x", "cat"])
+        np.testing.assert_array_equal(a[1], b[1])
+        np.testing.assert_array_equal(a[1], c[1])
+        assert not np.array_equal(a[0], b[0]) and not np.array_equal(a[2], b[2])
+
+    def test_another_seed_gives_other_rows(self):
+        tokens = ["a", "cat", "sat"]
+        a = StubContextualProvider(16, seed=3).vectors("sid", tokens)
+        b = StubContextualProvider(16, seed=4).vectors("sid", tokens)
+        assert not np.any(np.all(a == b, axis=1))
+
+    @pytest.mark.parametrize("dim", [1, 3, 1024])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_shape_and_dtype(self, dim, n):
+        rows = StubContextualProvider(dim, seed=0).vectors("sid", [f"w{i}" for i in range(n)])
+        assert rows.shape == (n, dim) and rows.dtype == np.float32
+
+    def test_values_are_uniform_in_the_half_open_unit_interval(self):
+        rows = StubContextualProvider(1024, seed=5).vectors("sid", [f"w{i % 7}" for i in range(200)])
+        assert rows.min() >= -0.5 and rows.max() < 0.5
+        # 204,800 draws: the standard error of the mean is about 6e-4
+        assert abs(float(rows.mean(dtype=np.float64))) < 5e-3
+        assert abs(float(rows.std(dtype=np.float64)) - 1 / np.sqrt(12)) < 5e-3
+
+    def test_no_two_rows_repeat_over_ten_thousand_occurrences(self):
+        stub = StubContextualProvider(8, seed=0)
+        # 100 tokens, each at positions 0..99
+        rows = np.concatenate([stub.vectors(f"s{t}", [f"t{t}"] * 100) for t in range(100)])
+        assert rows.shape == (10_000, 8)
+        assert len({row.tobytes() for row in rows}) == 10_000
+
+    def test_values_are_pinned(self):
+        # a change of these bytes changes every stub run and every stub-built cache
+        rows = StubContextualProvider(64, seed=7).vectors("sid", ["a", "man", "plays", "a", "guitar"])
+        assert hashlib.sha1(rows.tobytes()).hexdigest() == "dc9e523d5cb3c4fa7b15c940e333d8197ee1a0ce"
 
 
 def _pair(sent_a, sent_b, vocab, cap=16):

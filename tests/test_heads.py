@@ -125,6 +125,10 @@ class TestHingeLoss:
         got = hinge_loss(T.constant(pos), T.constant(neg)).item()
         assert abs(got - oracles.hinge_direct(pos, neg)) <= 1e-12
 
+    def test_a_margin_far_below_an_ulp_of_one_still_costs(self):
+        # (neg - pos) + 1 would round this margin away to a loss of 0
+        assert hinge_loss(T.constant([[1.0]]), T.constant([[1.156e-124]])).item() == 1.156e-124
+
     @given(st.floats(-1, 1), st.floats(-1, 1))
     def test_nonnegative_and_zero_iff_margin_met(self, p, q):
         loss = hinge_loss(T.constant([[p]]), T.constant([[q]])).item()

@@ -5,7 +5,8 @@ from sentmatch import encoder, interaction
 from sentmatch import model as model_mod
 from sentmatch.config import TrainConfig
 from sentmatch.data import RawPair, build_batches, build_vocab
-from sentmatch.embedding import StubContextualProvider, random_static_vectors
+from sentmatch.embedding import CacheContextualProvider, StubContextualProvider, random_static_vectors, write_contextual_cache
+from sentmatch.errors import DataError
 from sentmatch.model import MatchModel, init_params, param_count
 
 # block name -> the bindings the forward pass calls it through
@@ -119,6 +120,18 @@ class TestStructure:
         sides = [[p.sid_a for p in batch.items], [p.sid_b for p in batch.items]]
         assert calls == [sid for side in sides for sid in dict.fromkeys(side)]
         assert len(calls) == 4 < 2 * len(batch)
+
+    def test_provider_of_another_width_is_a_data_error(self, tmp_path):
+        cfg = _cfg(contextual_dim=4)
+        params = init_params(cfg, np.zeros((5, cfg.static_dim)))
+        with pytest.raises(DataError, match="contextual provider has 3-d vectors, config asks for contextual_dim 4"):
+            MatchModel(cfg, params, provider=StubContextualProvider(3))
+        path = tmp_path / "ctx5.bin"
+        write_contextual_cache(path, 5, [])
+        with pytest.raises(DataError, match=f"contextual cache {path} has 5-d vectors"):
+            MatchModel(cfg, params, provider=CacheContextualProvider(path))
+        no_elmo = _cfg(contextual_dim=4, no_elmo=True)  # no contextual input: the provider is not read
+        MatchModel(no_elmo, init_params(no_elmo, np.zeros((5, cfg.static_dim))), provider=StubContextualProvider(3))
 
 
 class TestMaskingSoundness:

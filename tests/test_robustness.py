@@ -16,8 +16,8 @@ from sentmatch import cli
 from sentmatch.checkpoint import load_checkpoint, save_checkpoint
 from sentmatch.cli import main
 from sentmatch.config import TrainConfig
-from sentmatch.data import RawPair, read_dataset
-from sentmatch.embedding import Vocab, read_contextual_cache, write_contextual_cache
+from sentmatch.data import RawPair, read_dataset, tokenize_pairs
+from sentmatch.embedding import StubContextualProvider, Vocab, read_contextual_cache, write_contextual_cache
 from sentmatch.errors import DataError, ParseError
 from sentmatch.synthetic import make_classification_pairs, make_ranking_groups, write_tsv
 from sentmatch.trainer import train
@@ -192,6 +192,66 @@ class TestContextualCacheFile:
         path = _write(tmp_path, "ctx.bin", cache_blob[:at] + struct.pack("<I", 2**32 - 1) + cache_blob[at + 4 :])
         with pytest.raises(ParseError, match="truncated"):
             read_contextual_cache(path)
+
+
+def _tiny_cache(path, dim, fill=None):
+    """A cache of the stub's rows (or of `fill`) for every sentence of the tiny SNLI splits."""
+    stub = StubContextualProvider(dim, seed=3)
+    records = {}
+    for tsv in (DATA / "tiny_train.tsv", DATA / "tiny_dev.tsv"):
+        for p in tokenize_pairs(read_dataset(tsv, "snli"), Vocab(), 64)[0]:
+            for sid, tokens in ((p.sid_a, p.tokens_a), (p.sid_b, p.tokens_b)):
+                rows = stub.vectors(sid, tokens)
+                records[sid] = rows if fill is None else np.full_like(rows, fill)
+    write_contextual_cache(path, dim, records.items())
+    return path
+
+
+def _assert_one_error_line(proc, code, *culprits):
+    assert proc.returncode == code, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error:") and all(str(c) in line for c in culprits), line
+
+
+class TestContextualCacheInput:
+    """A cache that does not fit the run, or holds NaN or infinity, exits 2 with one error line."""
+
+    ARGS = ["--task", "snli", "--hidden", "8", "--static_dim", "8", "--epochs", "1", "--batch_size", "16", "--seed", "3"]
+
+    @pytest.fixture(scope="class")
+    def stub_ck(self, tmp_path_factory):
+        """A checkpoint trained on the tiny split with 4-d stub vectors."""
+        out = tmp_path_factory.mktemp("stub_run")
+        proc = _run_cli("train", "--train", DATA / "tiny_train.tsv", *self.ARGS, "--contextual_dim", "4", "--contextual", "stub", "--out", out, "--quiet")
+        assert proc.returncode == 0, proc.stderr
+        return out / "checkpoint.bin"
+
+    def test_train_with_a_cache_of_another_width(self, tmp_path):
+        cache = _tiny_cache(tmp_path / "ctx4.bin", 4)
+        out = tmp_path / "run"
+        proc = _run_cli("train", "--train", DATA / "tiny_train.tsv", *self.ARGS, "--contextual_dim", "8", "--contextual", cache, "--out", out)
+        _assert_one_error_line(proc, 2, cache, "4-d", "contextual_dim 8")
+        assert not (out / "checkpoint.bin").exists()
+
+    def test_eval_with_a_cache_of_another_width(self, tmp_path, stub_ck):
+        cache = _tiny_cache(tmp_path / "ctx8.bin", 8)
+        proc = _run_cli("eval", "--checkpoint", stub_ck, "--data", DATA / "tiny_dev.tsv", "--contextual", cache)
+        _assert_one_error_line(proc, 2, cache, "8-d", "contextual_dim 4")
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_train_on_a_non_finite_cache(self, tmp_path, fill):
+        cache = _tiny_cache(tmp_path / "bad.bin", 4, fill)
+        out = tmp_path / "run"
+        proc = _run_cli("train", "--train", DATA / "tiny_train.tsv", *self.ARGS, "--contextual_dim", "4", "--contextual", cache, "--out", out)
+        _assert_one_error_line(proc, 2, cache, "non-finite value at byte")
+        assert not (out / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_a_non_finite_cache_at_inference(self, tmp_path, stub_ck, command):
+        cache = _tiny_cache(tmp_path / "bad.bin", 4, np.nan)
+        proc = _run_cli(command, "--checkpoint", stub_ck, "--data", DATA / "tiny_dev.tsv", "--contextual", cache)
+        _assert_one_error_line(proc, 2, cache, "non-finite value at byte")
+        assert proc.stdout == ""
 
 
 class TestDatasetInput:
