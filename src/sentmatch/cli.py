@@ -26,7 +26,7 @@ from .data import build_batches, build_vocab, read_dataset, task_spec
 from .embedding import CacheContextualProvider, StubContextualProvider, Vocab, _write_atomic, load_static_vectors, random_static_vectors
 from .errors import ConfigError, DataError, NumericalError, SentMatchError
 from .model import MatchModel
-from .trainer import evaluate_checkpoint, run_ablations, train
+from .trainer import evaluate_checkpoint, forward_batches, run_ablations, train
 
 
 class UsageError(Exception):
@@ -142,8 +142,7 @@ def cmd_predict(args):
     batches, skipped = build_batches(pairs, ck.vocab, spec, ck.config.batch_size, shuffle_seed=None, max_len=ck.config.effective_max_len)
     if skipped:
         print(f"skipped={skipped}", file=sys.stderr)
-    for batch in batches:
-        out = model.forward_pair(batch).data
+    for batch, out in zip(batches, forward_batches(model, batches)):
         for pair, row in zip(batch.items, out):
             if spec.kind == "classify":
                 probs_txt = ",".join(f"{p:.6f}" for p in row)

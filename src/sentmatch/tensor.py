@@ -10,6 +10,12 @@ as its closure has consumed it, so backward holds the gradients of the
 frontier it is working on, not one per activation. The graph itself
 (parents and closures) stays, so backward can be replayed.
 
+A node none of whose inputs needs a gradient is graph-free: it keeps no
+parents and no closure, since backward would never visit them. A
+forward over constant parameters (as evaluation runs it) therefore
+builds no graph, and each activation is freed as soon as the forward
+stops using it, as in plain numpy code.
+
 Row gathers (`take_rows`, `embed_rows`) accumulate row-sparse: each
 call records only the rows it read and their summed gradients. Backward
 scatters an interior node's records into one dense buffer when the replay reaches
@@ -334,8 +340,14 @@ def parameter(data):
 
 
 def _node(data, parents, vjp):
-    needs = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=needs, _parents=tuple(parents), _vjp=vjp if needs else None)
+    """An op's output: a graph node if some input needs a gradient, else graph-free.
+
+    A graph-free node keeps neither `parents` nor `vjp`, so neither it
+    nor the closure's captured arrays hold its inputs alive.
+    """
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
+    return Tensor(data)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +499,11 @@ def tanh(x):
 
 
 def sigmoid(x):
-    # exp formulated per sign to stay stable for large |x|
+    # exp formulated per sign to stay stable for large |x|; np.where evaluates both branches
     d = x.data
-    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    denom = 1.0 + e
+    out_data = np.where(d >= 0, 1.0 / denom, e / denom)
 
     def vjp(g):
         _accumulate(x, g * out_data * (1.0 - out_data))

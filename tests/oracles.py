@@ -86,6 +86,11 @@ def relu_np(x):
     return np.maximum(x, 0.0)
 
 
+def sigmoid_per_sign(x):
+    """The engine's earlier sigmoid expression, which evaluates exp(-|x|) three times."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
 def align_direct(c, q, w_c, w_q, mask_a, mask_b):
     """Alignment between two encoded sentences, computed step by step.
 

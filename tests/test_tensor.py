@@ -108,6 +108,13 @@ class TestElementwise:
     def test_sigmoid_zero(self):
         assert T.sigmoid(T.constant([0.0])).data[0] == 0.5
 
+    def test_sigmoid_is_the_per_sign_expression_bitwise(self, rng):
+        edges = np.array([0.0, -0.0, 800.0, -800.0, 745.0, -745.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan])
+        for x in (edges, rng.normal(0.0, 20.0, size=(16, 38, 150))):
+            with np.errstate(all="ignore"):
+                got, want = T.sigmoid(T.constant(x)).data, oracles.sigmoid_per_sign(x)
+            assert got.tobytes() == want.tobytes()
+
     def test_concat_axis0(self):
         out = T.concat([T.constant([1.0, 2.0]), T.constant([3.0])], axis=0)
         np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
