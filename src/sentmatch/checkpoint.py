@@ -16,8 +16,10 @@ files whose manifest also has an "adam_t" step count and "adam_m" /
 result of a load reproduces the file byte for byte. Saving is atomic: a
 file at the target path is replaced only by a complete new one. A file
 that is cut short, or whose manifest is not UTF-8 JSON with every expected key,
-known tensor kinds and a valid config, or that holds a non-finite
-parameter value, raises ParseError naming the file.
+known tensor kinds and a valid config, or whose parameters are not, by
+name and shape, those its config and vocabulary call for
+(`model.param_shapes`, checked before any array is read), or that holds
+a non-finite parameter value, raises ParseError naming the file.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from . import tensor as T
 from .config import TrainConfig
 from .embedding import Vocab, _need, _read_exact, _write_atomic
 from .errors import ConfigError, ParseError
+from .model import param_shapes
 
 MAGIC = b"SMCK"
 VERSION = 1
@@ -124,28 +127,43 @@ def _skip_array(fh, shape, path, size):
     fh.seek(pos + nbytes)
 
 
+def _check_tensors(path, entries, expected):
+    """Refuse a manifest whose parameters are not the ones `expected` (name -> shape) lists."""
+    found = set()
+    for entry in entries:
+        kind = entry["kind"]
+        if kind in _LEGACY_KINDS:
+            continue
+        if kind != "param":
+            raise ParseError(f"{path}: unknown tensor kind {kind!r}")
+        name, shape = entry["name"], tuple(entry["shape"])
+        if name not in expected:
+            raise ParseError(f"{path}: tensor {name!r} is not one the config calls for")
+        if name in found:
+            raise ParseError(f"{path}: tensor {name!r} appears twice")
+        if shape != expected[name]:
+            raise ParseError(f"{path}: tensor {name!r} has shape {list(shape)}, the config calls for {list(expected[name])}")
+        found.add(name)
+    for name, shape in expected.items():
+        if name not in found:
+            raise ParseError(f"{path}: tensor {name!r} of shape {list(shape)}, which the config calls for, is missing")
+
+
 def _from_manifest(fh, path, size, manifest):
+    config = TrainConfig.from_dict(manifest["config"])
+    tokens = manifest["vocab"]
+    vocab = Vocab(tokens[2:])
+    if vocab.id_to_token != tokens:
+        raise ParseError(f"{path}: vocabulary in manifest is not in canonical order")
+    _check_tensors(path, manifest["tensors"], param_shapes(config, len(vocab)))
     params = {}
     for entry in manifest["tensors"]:
-        kind = entry["kind"]
-        if kind != "param" and kind not in _LEGACY_KINDS:
-            raise ParseError(f"{path}: unknown tensor kind {kind!r}")
         shape = tuple(entry["shape"])
-        if kind != "param":
+        if entry["kind"] != "param":
             _skip_array(fh, shape, path, size)
             continue
         data = _read_array(fh, shape, path, size)
         if not np.isfinite(data).all():
             raise ParseError(f"{path}: tensor {entry['name']!r} holds a non-finite value")
         params[entry["name"]] = T.Tensor(data, requires_grad=entry["trainable"])
-    tokens = manifest["vocab"]
-    vocab = Vocab(tokens[2:])
-    if vocab.id_to_token != tokens:
-        raise ParseError(f"{path}: vocabulary in manifest is not in canonical order")
-    return Checkpoint(
-        params=params,
-        epoch=manifest["epoch"],
-        config=TrainConfig.from_dict(manifest["config"]),
-        vocab=vocab,
-        history=manifest["history"],
-    )
+    return Checkpoint(params=params, epoch=manifest["epoch"], config=config, vocab=vocab, history=manifest["history"])

@@ -23,40 +23,57 @@ def _glorot(rng, fan_in, fan_out, shape):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_params(cfg, static_matrix, seed=None):
-    """Build every trainable tensor the configuration calls for.
+def param_shapes(cfg, vocab_size):
+    """Name -> shape of every tensor the configuration calls for, in init order.
 
-    `static_matrix` seeds the word-vector table; it becomes a trainable
-    tensor unless the config freezes it. Ablations that remove a block
-    also remove its weights, so disabling a component always shrinks the
-    parameter count (the only_* switches reroute data instead and keep
-    the count).
+    Ablations that remove a block also remove its weights, so disabling
+    a component always shrinks the parameter count (the only_* switches
+    reroute data instead and keep the count).
     """
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
     d = cfg.hidden
-    d_emb = cfg.static_dim + cfg.effective_contextual_dim
     w = cfg.kernel
-    params = {}
-    params["embed.static"] = T.Tensor(static_matrix.copy(), requires_grad=not cfg.freeze_static)
-    params["enc.w_in"] = T.parameter(_glorot(rng, d_emb, d, (d_emb, d)))
-    params["enc.conv1"] = T.parameter(_glorot(rng, w * d, d, (w, d, d)))
-    params["enc.conv2"] = T.parameter(_glorot(rng, w * d, d, (w, d, d)))
+    shapes = {
+        "embed.static": (vocab_size, cfg.static_dim),
+        "enc.w_in": (cfg.static_dim + cfg.effective_contextual_dim, d),
+        "enc.conv1": (w, d, d),
+        "enc.conv2": (w, d, d),
+    }
     if not cfg.no_self_attention:
-        params["enc.w_att"] = T.parameter(_glorot(rng, d, d, (d, d)))
+        shapes["enc.w_att"] = (d, d)
     if not cfg.no_alignment:
-        params["enc.w_c"] = T.parameter(_glorot(rng, d, d, (d, d)))
-        params["enc.w_q"] = T.parameter(_glorot(rng, d, d, (d, d)))
+        shapes["enc.w_c"] = (d, d)
+        shapes["enc.w_q"] = (d, d)
     if cfg.no_fusion:
-        params["enc.w_merge"] = T.parameter(_glorot(rng, 2 * d, d, (2 * d, d)))
+        shapes["enc.w_merge"] = (2 * d, d)
     else:
-        params["enc.w1"] = T.parameter(_glorot(rng, 4 * d, d, (4 * d, d)))
-        params["enc.w2"] = T.parameter(_glorot(rng, 4 * d, d, (4 * d, d)))
-    params["inter.w_h"] = T.parameter(_glorot(rng, d, d, (d, d)))
-    params["inter.w_p"] = T.parameter(_glorot(rng, d, d, (d, d)))
+        shapes["enc.w1"] = (4 * d, d)
+        shapes["enc.w2"] = (4 * d, d)
+    shapes["inter.w_h"] = (d, d)
+    shapes["inter.w_p"] = (d, d)
     spec = task_spec(cfg.task)
     out_dim = spec.num_classes if spec.kind == "classify" else 1
-    params["head.w"] = T.parameter(_glorot(rng, 8 * d, out_dim, (8 * d, out_dim)))
-    params["head.b"] = T.parameter(np.zeros((1, out_dim)))
+    shapes["head.w"] = (8 * d, out_dim)
+    shapes["head.b"] = (1, out_dim)
+    return shapes
+
+
+def init_params(cfg, static_matrix, seed=None):
+    """Build every trainable tensor of `param_shapes`, in its order.
+
+    `static_matrix` seeds the word-vector table; it becomes a trainable
+    tensor unless the config freezes it. The head bias starts at zero;
+    every other weight is Glorot-uniform with fan_in the product of all
+    axes but the last and fan_out the last axis.
+    """
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    params = {}
+    for name, shape in param_shapes(cfg, len(static_matrix)).items():
+        if name == "embed.static":
+            params[name] = T.Tensor(static_matrix.copy(), requires_grad=not cfg.freeze_static)
+        elif name == "head.b":
+            params[name] = T.parameter(np.zeros(shape))
+        else:
+            params[name] = T.parameter(_glorot(rng, math.prod(shape[:-1]), shape[-1], shape))
     return params
 
 

@@ -111,19 +111,3 @@ def write_tsv(path, rows):
         for row in rows:
             fh.write("\t".join(row) + "\n")
 
-
-def write_classification_splits(out_dir, n_train, n_dev, n_test=0, seed=0):
-    """Three disjoint-seed splits under out_dir; returns the paths."""
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for name, count, offset in (("train", n_train, 0), ("dev", n_dev, 1), ("test", n_test, 2)):
-        if count <= 0:
-            continue
-        rows = make_classification_pairs(count, seed=seed * 10 + offset)
-        path = out / f"{name}.tsv"
-        write_tsv(path, rows)
-        paths[name] = path
-    return paths

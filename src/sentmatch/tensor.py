@@ -16,15 +16,17 @@ forward over constant parameters (as evaluation runs it) therefore
 builds no graph, and each activation is freed as soon as the forward
 stops using it, as in plain numpy code.
 
-Row gathers (`take_rows`, `embed_rows`) accumulate row-sparse: each
-call records only the rows it read and their summed gradients. Backward
-scatters an interior node's records into one dense buffer when the replay reaches
-that node, but leaves a leaf's records in place: a lookup into a large
-table therefore costs work in proportion to the rows it touched, not to
-the table. Reading a leaf's `grad` still gives a plain dense ndarray of
-its shape, built from the records on first read; the optimizer instead
-takes the touched rows from `_grad_rows`, and `rows_sum_squares` gives
-their contribution to the global gradient norm bit for bit.
+Row gathers (`take_rows`, `embed_rows`) accumulate row-sparse: a
+tensor's pending gradient is one pair, its sorted unique touched rows
+and their summed values, and each call merges its own rows into it.
+Backward scatters an interior node's pair into one dense buffer when the
+replay reaches that node, but leaves a leaf's pair in place: a lookup
+into a large table therefore costs work in proportion to the rows it
+touched, not to the table. Reading a leaf's `grad` still gives a plain
+dense ndarray of its shape, built from the pair on first read; the
+optimizer instead takes the pair from `_grad_rows`, and
+`rows_sum_squares` gives its contribution to the global gradient norm
+bit for bit.
 
 The engine is deliberately small: arrays of at most 3 dimensions, no
 broadcasting (equal shapes are enforced where the contract says so),
@@ -76,8 +78,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None):
         self.data = _asarray(data)
         self._grad = None
-        # pending row-sparse gradient: a list of take_rows records (see
-        # _accumulate_rows), or one coalesced (rows, values) tuple (see _grad_rows)
+        # pending row-sparse gradient: None or one (rows, values) pair (see _accumulate_rows)
         self._rows = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
@@ -100,7 +101,7 @@ class Tensor:
 
     @property
     def grad(self):
-        """The dense gradient, or None; pending row records are scattered into it on first read."""
+        """The dense gradient, or None; a pending row pair is scattered into it on first read."""
         if self._rows is not None:
             _flush_rows(self)
         return self._grad
@@ -118,7 +119,7 @@ class Tensor:
         reset first, so repeated backward calls on disjoint graphs do not
         leak accumulation across calls. An interior node's gradient is
         dropped right after its vjp has fired; leaves keep theirs, row
-        records included (see the module docstring). The graph is kept,
+        pairs included (see the module docstring). The graph is kept,
         so calling backward again gives the same leaf gradients.
         """
         if self.data.size != 1:
@@ -144,7 +145,7 @@ class Tensor:
         self._grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._vjp is not None:
-                # every consumer of `node` has fired by now, so its records are complete
+                # every consumer of `node` has fired by now, so its row pair is complete
                 if node._rows is not None:
                     _flush_rows(node)
                 node._vjp(node._grad)
@@ -162,62 +163,48 @@ def _accumulate(t, g):
 
 
 def _accumulate_rows(t, rows, values):
-    """Add a gradient that is zero outside `rows` (no row twice).
+    """Add a gradient that is zero outside `rows` (sorted and unique).
 
-    Equal, bit for bit, to `_accumulate` of the array that scatter-adds
-    `values` into zeros. While `t` has no dense gradient the record is
-    kept as is; `_flush_rows` adds the records row by row into one zero
-    buffer. Every buffer entry is a sum begun at +0.0, so it is never
-    -0.0: the `+ 0.0` that dense accumulation adds on untouched rows
-    would change nothing, and adding a -0.0 value gives the same bits as
-    adding the +0.0 the scatter turns it into. After a dense
-    contribution, the record is scattered densely instead, because that
-    `+ 0.0` turns a -0.0 entry of the dense gradient into +0.0.
+    Equal, bit for bit, to `_accumulate` of the array that scatters
+    `values` into zeros. While `t` has no dense gradient, its pending
+    pair takes the call: the union of both rows, the old values, and
+    `+=` the new ones. Every entry is a sum begun at +0.0 that adds each
+    call's deduplicated sum in firing order, so it is never -0.0: the
+    `+ 0.0` that dense accumulation adds on untouched rows would change
+    nothing. After a dense contribution, the call is scattered densely
+    instead, because that `+ 0.0` turns a -0.0 entry of the dense
+    gradient into +0.0.
     """
-    if t._grad is None:
-        if t._rows is None:
-            t._rows = []
-        t._rows.append((rows, values))
+    if t._grad is not None:
+        out = np.zeros(t.shape)
+        out[rows] = values
+        _accumulate(t, out)
+    elif t._rows is None:
+        t._rows = (rows, values)
     else:
-        _accumulate(t, _scatter_rows(t.shape, [(rows, values)]))
-
-
-def _scatter_rows(shape, records):
-    out = np.zeros(shape)
-    for rows, values in records:
-        out[rows] += values
-    return out
+        old_rows, old_values = t._rows
+        merged = np.union1d(old_rows, rows)
+        sums = np.zeros((merged.size, t.shape[1]))
+        sums[np.searchsorted(merged, old_rows)] = old_values
+        sums[np.searchsorted(merged, rows)] += values
+        t._rows = (merged, sums)
 
 
 def _flush_rows(t):
-    """Turn `t`'s pending row records into its dense gradient."""
-    records, t._rows = t._rows, None
-    if isinstance(records, tuple):
-        rows, values = records
-        t._grad = np.zeros(t.shape)
-        t._grad[rows] = values
-    else:
-        t._grad = _scatter_rows(t.shape, records)
+    """Turn `t`'s pending (rows, values) pair into its dense gradient."""
+    (rows, values), t._rows = t._rows, None
+    t._grad = np.zeros(t.shape)
+    t._grad[rows] = values
 
 
 def _grad_rows(t):
     """`t`'s pending row-sparse gradient as (rows, values), or None.
 
     `rows` are sorted and unique, and `values` holds their rows of the
-    dense gradient bit for bit: each is a sum begun at +0.0 over the
-    records in order, as the dense scatter makes it. The coalesced pair
-    replaces the records on `t`, so `grad` and later calls read the same
-    values; `values` belongs to `t` and may be scaled in place. None
-    when `t` has no records (its gradient, if any, is dense).
+    dense gradient bit for bit. Reading changes nothing; `values`
+    belongs to `t` and may be scaled in place. None when `t` has no
+    pending rows (its gradient, if any, is dense).
     """
-    records = t._rows
-    if records is None or isinstance(records, tuple):
-        return records
-    rows = np.unique(np.concatenate([r for r, _ in records]))
-    values = np.zeros((rows.size, t.shape[1]))
-    for r, v in records:
-        values[np.searchsorted(rows, r)] += v
-    t._rows = (rows, values)
     return t._rows
 
 
@@ -651,11 +638,11 @@ def take_rows(x, indices):
 
     The gradient is accumulated row-sparse: rows read more than once
     have their incoming gradients summed in occurrence order (row-major
-    over `indices`), and only the unique rows and those sums are
-    recorded on `x`. If `x` is a leaf the records outlive `backward()`;
-    reading `x.grad` gives the dense array, equal bit for bit to
-    scatter-adding every call's gradient into a zero table, and
-    `_grad_rows(x)` gives just its touched rows.
+    over `indices`), and the sorted unique rows and those sums are merged
+    into `x`'s one pending (rows, values) pair. If `x` is a leaf the pair
+    outlives `backward()`; reading `x.grad` gives the dense array, equal
+    bit for bit to scatter-adding every call's gradient into a zero
+    table, and `_grad_rows(x)` gives just the pair.
     """
     if x.ndim != 2:
         raise ShapeError(f"take_rows expects 2-d, got {x.shape}")
@@ -668,19 +655,11 @@ def take_rows(x, indices):
 
 
 def _accumulate_gathered(x, idx, g):
-    """Record on `x` the gradient `g` of its rows gathered by `idx`, row-sparse (see take_rows)."""
-    rows = idx.reshape(-1) % x.shape[0]  # in-range negative indices name the rows they read
-    g = g.reshape(rows.size, x.shape[1])
-    # slot of each row, in first-occurrence order; a dict beats np.unique
-    # on the short index lists of sentences and pooled rows
-    slot = {}
-    inverse = [slot.setdefault(i, len(slot)) for i in rows.tolist()]
-    if len(slot) == len(inverse):
-        values = g
-    else:
-        rows = np.fromiter(slot, dtype=np.intp, count=len(slot))
-        values = np.zeros((rows.size, x.shape[1]))
-        np.add.at(values, inverse, g)
+    """Add to `x` the gradient `g` of its rows gathered by `idx`, row-sparse (see take_rows)."""
+    # in-range negative indices name the rows they read
+    rows, inverse = np.unique(idx.reshape(-1) % x.shape[0], return_inverse=True)
+    values = np.zeros((rows.size, x.shape[1]))
+    np.add.at(values, inverse, g.reshape(inverse.size, x.shape[1]))
     _accumulate_rows(x, rows, values)
 
 
@@ -696,7 +675,7 @@ def embed_rows(table, ids, mask, contexts=None, ctx_dim=0, rate=0.0, rng=None):
     (len_i, ctx_dim) array per item of `ids` (any float dtype, converted
     on assignment), or is None when `ctx_dim` is 0. `rate` 0 (as at
     inference) draws nothing. Only the table gets a gradient, through its
-    row-sparse records as in take_rows, so of the dropout scale only the
+    row-sparse pair as in take_rows, so of the dropout scale only the
     table's columns are kept.
     """
     if table.ndim != 2:

@@ -34,7 +34,6 @@ class EvalReport:
     task: str
     metrics: dict
     fingerprint: str
-    include_unanswerable: bool = False
 
     def primary(self):
         return self.metrics["acc"] if "acc" in self.metrics else self.metrics["map"]
@@ -133,7 +132,7 @@ _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def _sparse_grad(p, name, live):
-    """`p`'s coalesced (rows, values) gradient, or None when Adam updates `p` whole or it has none."""
+    """`p`'s pending (rows, values) gradient, or None when Adam updates `p` whole or it has none."""
     if name in live and live[name] is None:
         return None
     return T._grad_rows(p)
@@ -226,6 +225,9 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
         vocab = build_vocab(train_pairs)
     if static_matrix is None:
         static_matrix = random_static_vectors(vocab, cfg.static_dim, seed=cfg.seed)
+    elif static_matrix.shape != (len(vocab), cfg.static_dim):
+        # the checkpoint would hold a table its own vocabulary and config do not call for
+        raise DataError(f"static vectors have shape {list(static_matrix.shape)}; the vocabulary and config call for {[len(vocab), cfg.static_dim]}")
     params = init_params(cfg, static_matrix, seed=int(_seed_rng(cfg.seed, 0).integers(2**31)))
     model = MatchModel(cfg, params, provider=provider)
     m_state = {n: _untouched_zeros(t.shape) for n, t in params.items() if t.requires_grad}
@@ -423,7 +425,7 @@ def _evaluate_batches(model, batches):
     fingerprint = cfg.fingerprint()
     if cfg.include_unanswerable:
         fingerprint += "+include_unanswerable"
-    return EvalReport(cfg.task, {"map": m, "mrr": r}, fingerprint, cfg.include_unanswerable)
+    return EvalReport(cfg.task, {"map": m, "mrr": r}, fingerprint)
 
 
 def evaluate_checkpoint(ck, pairs, provider=None):
@@ -449,11 +451,11 @@ ABLATION_ORDER = (
 )
 
 
-def run_ablations(base_cfg, train_pairs, dev_pairs, static_matrix=None, provider=None, log=None):
+def run_ablations(base_cfg, train_pairs, dev_pairs, static_matrix=None, provider=None):
     """Train and evaluate the seven standard variants.
 
-    Returns rows of (variant, fingerprint, report, delta-vs-full) in the
-    fixed order, full model first.
+    Returns rows of (variant, fingerprint, best dev metric, delta-vs-full)
+    in the fixed order, full model first.
     """
     rows = []
     full_metric = None
@@ -466,6 +468,4 @@ def run_ablations(base_cfg, train_pairs, dev_pairs, static_matrix=None, provider
         if variant == "full":
             full_metric = metric
         rows.append((variant, cfg.fingerprint(), metric, metric - full_metric))
-        if log is not None:
-            log(f"{variant}: metric={metric:.4f} delta={metric - full_metric:+.4f}")
     return rows

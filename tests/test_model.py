@@ -7,7 +7,7 @@ from sentmatch.config import TrainConfig
 from sentmatch.data import RawPair, build_batches, build_vocab
 from sentmatch.embedding import CacheContextualProvider, StubContextualProvider, random_static_vectors, write_contextual_cache
 from sentmatch.errors import DataError
-from sentmatch.model import MatchModel, init_params, param_count
+from sentmatch.model import MatchModel, init_params, param_count, param_shapes
 
 # block name -> the bindings the forward pass calls it through
 BLOCK_BINDINGS = {
@@ -104,6 +104,13 @@ class TestStructure:
         full = param_count(init_params(_cfg(), static, seed=0))
         routed = param_count(init_params(_cfg(**{flag: True}), static, seed=0))
         assert routed == full
+
+    @pytest.mark.parametrize("flag", [None, *TrainConfig.ABLATION_FLAGS])
+    @pytest.mark.parametrize("task", ["snli", "wikiqa"])
+    def test_init_builds_exactly_the_param_shapes_in_order(self, flag, task):
+        cfg = _cfg(task=task, kernel=5, **({flag: True} if flag else {}))
+        params = init_params(cfg, np.zeros((9, cfg.static_dim)), seed=0)
+        assert [(name, t.shape) for name, t in params.items()] == list(param_shapes(cfg, 9).items())
 
     def test_ranking_head_is_scalar(self):
         cfg = _cfg(task="wikiqa", contextual_dim=0)

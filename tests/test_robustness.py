@@ -1,5 +1,8 @@
 """Malformed inputs end in a typed error that names the file, never a raw traceback."""
 
+import dataclasses
+import json
+import math
 import os
 import struct
 import subprocess
@@ -12,11 +15,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sentmatch
-from sentmatch import cli
+from sentmatch import checkpoint, cli
+from sentmatch import tensor as T
 from sentmatch.checkpoint import load_checkpoint, save_checkpoint
 from sentmatch.cli import main
 from sentmatch.config import TrainConfig
-from sentmatch.data import RawPair, read_dataset, tokenize_pairs
+from sentmatch.data import RawPair, build_vocab, read_dataset, tokenize_pairs
 from sentmatch.embedding import StubContextualProvider, Vocab, read_contextual_cache, write_contextual_cache
 from sentmatch.errors import DataError, ParseError
 from sentmatch.synthetic import make_classification_pairs, make_ranking_groups, write_tsv
@@ -69,6 +73,26 @@ def cut_dir(tmp_path_factory):
 def _manifest_end(blob):
     (manifest_len,) = struct.unpack("<Q", blob[8:16])
     return 16 + manifest_len
+
+
+# (tensor, its new shape given the saved one; None drops it): each makes a
+# checkpoint whose tensors are not the ones its own config calls for
+MISMATCHES = [
+    ("inter.w_p", None),
+    ("embed.static", lambda shape: (3, shape[1])),
+    ("enc.conv1", lambda shape: (*shape[:-1], shape[-1] + 1)),
+    ("head.w", lambda shape: (shape[0] + 2, shape[1])),
+    ("enc.w_extra", lambda shape: (2, 2)),
+]
+
+
+def _mismatched(ck, name, reshape):
+    params = dict(ck.params)
+    if reshape is None:
+        del params[name]
+    else:
+        params[name] = T.Tensor(np.full(reshape(params[name].shape if name in params else None), 0.25))
+    return dataclasses.replace(ck, params=params)
 
 
 def _write(tmp_path, name, blob):
@@ -156,6 +180,44 @@ class TestCheckpointFile:
         write_tsv(dev, make_classification_pairs(6, seed=2))
         ck = _write(tmp_path, "ck.bin", ck_blob[: _manifest_end(ck_blob) - 40])
         _assert_cli_fails(2, ck, "eval", "--checkpoint", ck, "--data", dev)
+
+    @pytest.mark.parametrize("name, reshape", MISMATCHES, ids=["missing", "too-few-table-rows", "wrong-conv-width", "wrong-head-rows", "extra"])
+    def test_tensors_that_do_not_match_the_config_are_refused_before_any_read(self, tmp_path, monkeypatch, valid_ck, name, reshape):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, _mismatched(valid_ck, name, reshape))
+
+        def read_nothing(*args):
+            raise AssertionError("an array was read before the manifest was checked")
+
+        monkeypatch.setattr(checkpoint, "_read_array", read_nothing)
+        with pytest.raises(ParseError, match=str(path)) as err:
+            load_checkpoint(path)
+        assert repr(name) in str(err.value)
+
+    def test_a_tensor_listed_twice_is_a_parse_error(self, tmp_path, ck_blob):
+        end = _manifest_end(ck_blob)
+        manifest = json.loads(ck_blob[16:end])
+        twice = manifest["tensors"][-1]
+        manifest["tensors"].append(twice)
+        header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        extra = ck_blob[len(ck_blob) - 8 * math.prod(twice["shape"]) :]
+        path = _write(tmp_path, "ck.bin", ck_blob[:8] + struct.pack("<Q", len(header)) + header + ck_blob[end:] + extra)
+        with pytest.raises(ParseError, match=str(path)) as err:
+            load_checkpoint(path)
+        assert f"{twice['name']!r} appears twice" in str(err.value)
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("name, reshape", MISMATCHES, ids=["missing", "too-few-table-rows", "wrong-conv-width", "wrong-head-rows", "extra"])
+    def test_cli_on_a_checkpoint_that_does_not_match_its_config_exits_2(self, tmp_path, capsys, valid_ck, command, name, reshape):
+        dev = tmp_path / "dev.tsv"
+        write_tsv(dev, make_classification_pairs(6, seed=2))
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, _mismatched(valid_ck, name, reshape))
+        assert main([command, "--checkpoint", str(path), "--data", str(dev)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert str(path) in err and repr(name) in err
 
 
 class TestContextualCacheFile:
@@ -327,6 +389,14 @@ class TestNothingToTrainOn:
         assert main(["train", "--train", str(path), "--out", str(out), "--quiet", *TINY]) == 2
         assert "no training step" in capsys.readouterr().err
         assert not (out / "checkpoint.bin").exists() and not (out / "history.json").exists()
+
+    @pytest.mark.parametrize("extra_rows, extra_dim", [(5, 0), (-1, 0), (0, 1)])
+    def test_static_vectors_of_another_shape_are_a_data_error(self, extra_rows, extra_dim):
+        pairs = [RawPair(LABELS[l], a, b) for l, a, b in make_classification_pairs(8, seed=1)]
+        cfg = TrainConfig(task="snli", static_dim=4, contextual_dim=0, hidden=3, epochs=1, batch_size=8, seed=3)
+        shape = (len(build_vocab(pairs)) + extra_rows, 4 + extra_dim)
+        with pytest.raises(DataError, match=r"static vectors have shape \[%d, %d\]" % shape):
+            train(cfg, pairs, static_matrix=np.zeros(shape))
 
     def test_ranking_split_without_a_negative_is_a_data_error(self):
         pairs = [RawPair(1, a, b, g) for l, a, b, g in make_ranking_groups(3, seed=4) if int(l) == 1]

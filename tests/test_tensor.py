@@ -545,3 +545,91 @@ class TestRowSumSquares:
 
     def test_no_rows_sum_to_zero(self):
         assert _bits(T.rows_sum_squares((5, 3), np.empty(0, dtype=np.intp), np.empty((0, 3)))) == _bits(0.0)
+
+
+@st.composite
+def _gradient_sequences(draw):
+    """A (V, d) table and the gradients that reach it, in firing order.
+
+    Each event is a `take_rows` or `embed_rows` call (indices may repeat
+    and be negative; `take_rows` may read nothing) with the gradient of
+    its output, or a dense contribution of the table's shape. Values
+    include both zeros, or are of one magnitude, so that another order
+    of the sums would round differently.
+    """
+    n_rows, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    index = st.integers(-n_rows, n_rows - 1)
+    elements = draw(st.sampled_from([_SPREAD, st.floats(-10.0, 10.0)]))
+    events = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["take_rows", "embed_rows", "dense"]))
+        if kind == "dense":
+            events.append((kind, draw(hnp.arrays(np.float64, (n_rows, d), elements=elements))))
+        elif kind == "take_rows":
+            idx = draw(hnp.arrays(np.intp, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4), elements=index))
+            events.append((kind, idx, draw(hnp.arrays(np.float64, idx.shape + (d,), elements=elements))))
+        else:
+            ids = draw(hnp.arrays(np.intp, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4), elements=index))
+            mask = draw(hnp.arrays(np.float64, ids.shape, elements=st.sampled_from([0.0, 1.0])))
+            ctx_dim = draw(st.sampled_from([0, 2]))
+            events.append((kind, ids, mask, ctx_dim, draw(hnp.arrays(np.float64, ids.shape + (d + ctx_dim,), elements=elements))))
+    return (n_rows, d), events
+
+
+def _loss_firing_in_order(table, events):
+    """A loss whose backward hands `table` each event's gradient in the listed order.
+
+    Backward fires the terms of a left-nested sum last-built first, so
+    the terms are built in reverse.
+    """
+    loss = None
+    for kind, *args in reversed(events):
+        if kind == "dense":
+            out = table
+        elif kind == "take_rows":
+            out = T.take_rows(table, args[0])
+        else:
+            ids, mask, ctx_dim, _ = args
+            contexts = [np.zeros((ids.shape[1], ctx_dim))] * len(ids) if ctx_dim else None
+            out = T.embed_rows(table, ids, mask, contexts, ctx_dim)
+        term = T.sum_all(T.mul(out, T.constant(args[-1])))
+        loss = term if loss is None else T.add(loss, term)
+    return loss
+
+
+def _dense_sum_of(n_rows, events):
+    """The events' dense gradients added in order, each gather's scattered by the original vjp."""
+    want = None
+    for kind, *args in events:
+        if kind == "dense":
+            part = args[0]
+        elif kind == "take_rows":
+            part = oracles.take_rows_dense_grad(n_rows, *args)
+        else:
+            ids, mask, ctx_dim, g = args
+            part = oracles.take_rows_dense_grad(n_rows, ids, g[..., : g.shape[-1] - ctx_dim] * mask[..., None])
+        want = part if want is None else want + part
+    return want
+
+
+class TestRowSparseSequences:
+    @settings(max_examples=150, deadline=None)
+    @given(_gradient_sequences(), st.booleans())
+    def test_any_sequence_is_bitwise_the_dense_scatter(self, case, interior):
+        (n_rows, d), events = case
+        leaf = T.parameter(np.linspace(-1.0, 1.0, n_rows * d).reshape(n_rows, d))
+        # an interior table has its row pair turned dense inside backward, before its vjp fires
+        table = T.reshape(leaf, (n_rows, d)) if interior else leaf
+        _loss_firing_in_order(table, events).backward()
+        want = _dense_sum_of(n_rows, events)
+        pair = T._grad_rows(leaf)
+        if interior or any(kind == "dense" for kind, *_ in events):
+            assert pair is None
+        else:
+            rows, values = pair
+            gathered = np.concatenate([np.ravel(args[0]) % n_rows for _, *args in events])
+            assert rows.tolist() == np.unique(gathered).tolist(), "sorted and unique"
+            assert values.shape == (rows.size, d)
+            assert T._grad_rows(leaf) is pair and leaf._grad is None, "reading the pair changes nothing"
+            assert values.tobytes() == want[rows].tobytes()
+        assert leaf.grad.tobytes() == want.tobytes()
