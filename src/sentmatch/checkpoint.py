@@ -8,18 +8,22 @@ Layout (little-endian):
     manifest  canonical JSON (sorted keys, no whitespace), utf-8
     data      for each manifest tensor entry, in order: raw float64 values
 
-The manifest records the epoch, the resolved config, the vocabulary, the
-metric history, and one entry per model parameter: name, shape, kind
-"param" and whether it is trainable. Optimizer state is not saved; older
-files whose manifest also has an "adam_t" step count and "adam_m" /
-"adam_v" moment entries load, their values skipped unread. Saving the
-result of a load reproduces the file byte for byte. Saving is atomic: a
-file at the target path is replaced only by a complete new one. A file
-that is cut short, or whose manifest is not UTF-8 JSON with every expected key,
-known tensor kinds and a valid config, or whose parameters are not, by
-name and shape, those its config and vocabulary call for
-(`model.param_shapes`, checked before any array is read), or that holds
-a non-finite parameter value, raises ParseError naming the file.
+The manifest records the epoch, the resolved config, the vocabulary and
+one entry per model parameter: name, shape and kind "param". Loaded
+parameters are constants: nothing trains from a checkpoint. The metric
+history lives in `history.json` beside it, and optimizer state is not
+saved. Older files still load: a manifest "history" and per-tensor
+"trainable" flags are ignored, "adam_t" and the "adam_m" / "adam_v"
+moment entries are skipped unread, and config keys retired since
+(`config.RETIRED`) read at their old default. Saving the result of a
+load reproduces the file byte for byte, in the current layout. Saving
+is atomic: a file at the target path is replaced only by a complete
+new one. A file that is cut short, or whose manifest is not UTF-8 JSON
+with every expected key, known tensor kinds and a valid config, or
+whose parameters are not, by name and shape, those its config and
+vocabulary call for (`model.param_shapes`, checked before any array is
+read), or that holds a non-finite parameter value, raises ParseError
+naming the file.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,18 +53,13 @@ class Checkpoint:
     epoch: int
     config: TrainConfig
     vocab: Vocab
-    history: list = field(default_factory=list)
 
 
 def _manifest(ck):
-    tensors = [
-        {"name": name, "shape": list(t.shape), "kind": "param", "trainable": bool(t.requires_grad)}
-        for name, t in sorted(ck.params.items())
-    ]
+    tensors = [{"name": name, "shape": list(t.shape), "kind": "param"} for name, t in sorted(ck.params.items())]
     return {
         "config": ck.config.to_dict(),
         "epoch": ck.epoch,
-        "history": ck.history,
         "tensors": tensors,
         "vocab": ck.vocab.id_to_token,
     }
@@ -165,5 +164,5 @@ def _from_manifest(fh, path, size, manifest):
         data = _read_array(fh, shape, path, size)
         if not np.isfinite(data).all():
             raise ParseError(f"{path}: tensor {entry['name']!r} holds a non-finite value")
-        params[entry["name"]] = T.Tensor(data, requires_grad=entry["trainable"])
-    return Checkpoint(params=params, epoch=manifest["epoch"], config=config, vocab=vocab, history=manifest["history"])
+        params[entry["name"]] = T.constant(data)
+    return Checkpoint(params=params, epoch=manifest["epoch"], config=config, vocab=vocab)

@@ -2,7 +2,9 @@
 
 Config files are plain `key = value` lines (# starts a comment); every
 field of TrainConfig is addressable both there and as a `--key value`
-command line override.
+command line override. A retired key (`RETIRED`) still reads at its
+old default, so earlier config echoes and checkpoints load; any other
+value of it is a ConfigError naming the key.
 """
 
 from __future__ import annotations
@@ -14,6 +16,11 @@ from dataclasses import dataclass
 from .data import task_spec
 from .embedding import _text_lines
 from .errors import ConfigError
+
+# Keys that earlier versions wrote into every config echo and checkpoint
+# manifest, each with the one value that still reads: the batch-sum loss
+# and ranking eval over questions without a correct answer are gone.
+RETIRED = {"sum_loss": False, "include_unanswerable": False}
 
 
 @dataclass
@@ -34,9 +41,7 @@ class TrainConfig:
     max_len: int = 0  # 0 means the task default cap
     grad_clip: float = 5.0
     freeze_static: bool = False
-    sum_loss: bool = False  # plain sum over samples instead of batch mean
     pool: str = "splice"  # or "meanmax" (comparison only)
-    include_unanswerable: bool = False  # ranking eval keeps groups without positives
     early_stop_patience: int = 0  # 0 disables early stopping
     # ablation switches
     no_elmo: bool = False
@@ -112,11 +117,15 @@ class TrainConfig:
         """Set fields from a {key: string-or-typed-value} mapping."""
         fields = {f.name: f for f in dataclasses.fields(self)}
         for key, raw in values.items():
-            if key not in fields:
+            if key in fields:
+                setattr(self, key, _coerce(raw, type(getattr(self, key)), key))
+            elif key in RETIRED:
+                if _coerce(raw, type(RETIRED[key]), key) != RETIRED[key]:
+                    raise ConfigError(f"config key {key!r} is retired; only its old value {RETIRED[key]} still reads, got {raw!r}")
+            else:
                 raise ConfigError(
                     f"unknown config key {key!r}; valid keys: {', '.join(sorted(fields))}"
                 )
-            setattr(self, key, _coerce(raw, type(getattr(self, key)), key))
         return self
 
 

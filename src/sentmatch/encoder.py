@@ -70,8 +70,8 @@ def encode_context(x, mask, params, use_self_attention=True, train=False, dropou
     def sublayer_tail(h):
         h = T.mul(h, keep)
         if train and dropout_rate > 0.0:
+            # padded rows are +-0 here, and dropout only scales them, so they stay +-0
             h = T.dropout(h, dropout_rate, rng)
-            h = T.mul(h, keep)
         return h
 
     h = T.matmul(x, params["enc.w_in"])

@@ -67,12 +67,11 @@ def head_forward(pooled, w, b, task_kind):
     return T.softmax(pre, axis=-1)
 
 
-def cross_entropy(probs, labels, mean=True):
-    """Negative log likelihood of the true classes.
+def cross_entropy(probs, labels):
+    """Negative log likelihood of the true classes, averaged over the batch.
 
     `probs` is an N x K tensor of distributions, `labels` integer class
-    ids. Logs are floored at 1e-12. Averaged over the batch by default;
-    `mean=False` gives the plain sum over samples.
+    ids. Logs are floored at 1e-12.
     """
     n, k = probs.shape
     labels = np.asarray(labels)
@@ -81,8 +80,7 @@ def cross_entropy(probs, labels, mean=True):
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
     picked = T.mul(T.constant(onehot), T.log(T.clamp_min(probs, LOG_FLOOR)))
-    scale = -1.0 / n if mean else -1.0
-    return T.mul_const(T.sum_all(picked), scale)
+    return T.mul_const(T.sum_all(picked), -1.0 / n)
 
 
 def hinge_loss(score_pos, score_neg):

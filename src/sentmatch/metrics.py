@@ -18,14 +18,12 @@ def accuracy(preds, labels):
     return float(np.mean(preds == labels))
 
 
-def map_mrr(groups, include_no_positive=False):
+def map_mrr(groups):
     """Mean average precision and mean reciprocal rank over groups.
 
     `groups` is a list of candidate lists, each candidate a
     (score, relevant) pair in stable input order; ties in score keep
-    that order. Groups without any relevant candidate are excluded by
-    default; with `include_no_positive` they count as zero for both
-    metrics.
+    that order. Groups without any relevant candidate are left out.
     """
     ap_values, rr_values = [], []
     for cands in groups:
@@ -41,9 +39,6 @@ def map_mrr(groups, include_no_positive=False):
                 if first_rank is None:
                     first_rank = rank
         if first_rank is None:
-            if include_no_positive:
-                ap_values.append(0.0)
-                rr_values.append(0.0)
             continue
         ap_values.append(sum(precisions) / len(precisions))
         rr_values.append(1.0 / first_rank)

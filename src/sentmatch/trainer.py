@@ -1,7 +1,7 @@
 """Adam training loop, evaluation, and ablation sweep.
 
 The loop is deliberately plain: each step runs one forward graph over
-the padded batch into one batch loss (mean by default), a single
+the padded batch into one batch-mean loss, a single
 backward fills the parameter gradients, the global norm is clipped, and
 Adam applies the update.
 Everything stochastic (shuffling, dropout, negative sampling, weight
@@ -131,13 +131,6 @@ def adam_step(params, state_m, state_v, t, cfg, live):
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
-def _sparse_grad(p, name, live):
-    """`p`'s pending (rows, values) gradient, or None when Adam updates `p` whole or it has none."""
-    if name in live and live[name] is None:
-        return None
-    return T._grad_rows(p)
-
-
 def _rows_to_update(p, name, live):
     """The rows of `p` this Adam step updates, also recorded in `live`; None for the whole tensor."""
     if name in live and live[name] is None:
@@ -164,18 +157,18 @@ def _grad_of_rows(p, rows):
     return g
 
 
-def clip_gradients(params, max_norm, live):
+def clip_gradients(params, max_norm):
     """Scale all gradients so their joint norm is at most `max_norm`.
 
-    The norm is the one the dense gradients give bit for bit. `live` is
-    `adam_step`'s state: a row-sparse gradient of a tensor that Adam
-    still updates by rows is squared and scaled on its touched rows
-    only; every other gradient is taken dense.
+    The norm is the one the dense gradients give bit for bit. A pending
+    row-sparse gradient (`T._grad_rows`) is squared and scaled on its
+    touched rows only, in place, so it stays a row pair whichever way
+    Adam then updates the tensor; every other gradient is taken dense.
     """
     total = 0.0
     for name in sorted(params):
         p = params[name]
-        record = _sparse_grad(p, name, live)
+        record = T._grad_rows(p)
         if record is not None:
             total += T.rows_sum_squares(p.shape, *record)
         elif p.grad is not None:
@@ -185,7 +178,7 @@ def clip_gradients(params, max_norm, live):
         scale = max_norm / norm
         for name in sorted(params):
             p = params[name]
-            record = _sparse_grad(p, name, live)
+            record = T._grad_rows(p)
             if record is not None:
                 np.multiply(record[1], scale, out=record[1])
             elif p.grad is not None:
@@ -203,7 +196,7 @@ def _max_abs_grad(params):
 
 def _classification_loss(model, batch, train, rng):
     probs = model.forward_pair(batch, train=train, rng=rng)
-    return cross_entropy(probs, batch.labels, mean=not model.cfg.sum_loss)
+    return cross_entropy(probs, batch.labels)
 
 
 def _ranking_loss(model, pos_batch, neg_batch, train, rng):
@@ -270,9 +263,9 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
                     f"non-finite loss at epoch {epoch} batch {batch_idx}: "
                     f"loss={value!r}, max|grad|={_max_abs_grad(params)!r}"
                 )
-            clip_gradients(params, cfg.grad_clip, live)
+            clip_gradients(params, cfg.grad_clip)
             if best_is_live:
-                best_ck, best_is_live = _snapshot(model, best_epoch, vocab, history), False
+                best_ck, best_is_live = _snapshot(model, best_epoch, vocab), False
             adam_t += 1
             try:
                 adam_step(params, m_state, v_state, adam_t, cfg, live)
@@ -304,7 +297,6 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
         # the best epoch's weights (or, if no epoch improved, the last) are the live ones; no step follows
         shared = {name: T.Tensor(t.data, requires_grad=t.requires_grad) for name, t in params.items()}
         best_ck = Checkpoint(params=shared, epoch=best_epoch if best_is_live else cfg.epochs - 1, config=cfg, vocab=vocab)
-    best_ck.history = history
     return TrainResult(history, best_epoch, best_metric, best_ck, model)
 
 
@@ -420,12 +412,8 @@ def _evaluate_batches(model, batches):
     for batch, out in zip(batches, outputs):
         for pair, score, label in zip(batch.items, out[:, 0].tolist(), batch.labels.tolist()):
             scored.setdefault(pair.group_id, []).append((score, label == 1))
-    groups = list(scored.values())
-    m, r = map_mrr(groups, include_no_positive=cfg.include_unanswerable)
-    fingerprint = cfg.fingerprint()
-    if cfg.include_unanswerable:
-        fingerprint += "+include_unanswerable"
-    return EvalReport(cfg.task, {"map": m, "mrr": r}, fingerprint)
+    m, r = map_mrr(list(scored.values()))
+    return EvalReport(cfg.task, {"map": m, "mrr": r}, cfg.fingerprint())
 
 
 def evaluate_checkpoint(ck, pairs, provider=None):
@@ -433,22 +421,14 @@ def evaluate_checkpoint(ck, pairs, provider=None):
     return evaluate(model, pairs, ck.vocab)
 
 
-def _snapshot(model, epoch, vocab, history):
+def _snapshot(model, epoch, vocab):
     # adam_step writes through the model's parameter arrays, so the snapshot copies them;
     # train() takes one only when a step is about to overwrite the best epoch's weights
     params = {name: T.Tensor(t.data.copy(), requires_grad=t.requires_grad) for name, t in model.params.items()}
-    return Checkpoint(params=params, epoch=epoch, config=model.cfg, vocab=vocab, history=list(history))
+    return Checkpoint(params=params, epoch=epoch, config=model.cfg, vocab=vocab)
 
 
-ABLATION_ORDER = (
-    "full",
-    "no_elmo",
-    "no_alignment",
-    "no_fusion",
-    "no_self_attention",
-    "only_h2p",
-    "only_p2h",
-)
+ABLATION_ORDER = ("full",) + TrainConfig.ABLATION_FLAGS
 
 
 def run_ablations(base_cfg, train_pairs, dev_pairs, static_matrix=None, provider=None):

@@ -163,7 +163,7 @@ def head_direct(pooled, w, b, kind):
     return e / e.sum()
 
 
-def cross_entropy_direct(probs, labels, mean=True):
+def cross_entropy_direct(probs, labels):
     n, k = probs.shape
     total = 0.0
     for i in range(n):
@@ -172,7 +172,7 @@ def cross_entropy_direct(probs, labels, mean=True):
             y = 1.0 if j == labels[i] else 0.0
             row += y * math.log(max(probs[i, j], 1e-12))
         total -= row
-    return total / n if mean else total
+    return total / n
 
 
 def hinge_direct(pos, neg):
@@ -321,37 +321,70 @@ def embed_rows_composed(ops, table, ids, mask, contexts, ctx_dim, rate, rng):
     return x
 
 
-def save_checkpoint_with_moments(path, ck, adam_m, adam_v, adam_t):
-    """Write `ck` in the earlier checkpoint layout that also held Adam state.
+def _legacy_manifest(ck, history):
+    """The manifest earlier writers gave `ck`, `history` being the run's metric history.
 
-    The manifest has an "adam_t" step count and, after the "param"
-    entries, one "adam_m" then one "adam_v" entry per moment array, each
-    group in sorted name order; the float64 values follow in manifest
-    order. This is the writer of that layout, kept as the reference for
-    files written before optimizer state was dropped.
+    Beside the current keys it holds that history, a "trainable" flag on
+    every tensor entry, and the config keys since retired, each at its
+    only value still read (false).
     """
-    tensors = [
-        {"name": n, "shape": list(ck.params[n].shape), "kind": "param", "trainable": bool(ck.params[n].requires_grad)}
-        for n in sorted(ck.params)
-    ]
-    arrays = [ck.params[n].data for n in sorted(ck.params)]
-    for kind, table in (("adam_m", adam_m), ("adam_v", adam_v)):
-        for n in sorted(table):
-            tensors.append({"name": n, "shape": list(table[n].shape), "kind": kind, "trainable": False})
-            arrays.append(table[n])
-    manifest = {
-        "adam_t": adam_t,
-        "config": ck.config.to_dict(),
+    return {
+        "config": dict(ck.config.to_dict(), sum_loss=False, include_unanswerable=False),
         "epoch": ck.epoch,
-        "history": ck.history,
-        "tensors": tensors,
+        "history": history,
+        "tensors": [
+            {"name": n, "shape": list(ck.params[n].shape), "kind": "param", "trainable": bool(ck.params[n].requires_grad)}
+            for n in sorted(ck.params)
+        ],
         "vocab": ck.vocab.id_to_token,
     }
+
+
+def _write_legacy(path, manifest, arrays):
     header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(b"SMCK" + struct.pack("<IQ", 1, len(header)) + header)
         for arr in arrays:
             fh.write(np.asarray(arr, dtype="<f8").tobytes())
+
+
+def save_checkpoint_with_history(path, ck, history):
+    """Write `ck` in the checkpoint layout whose manifest also held the history.
+
+    This is the writer of the files saved after optimizer state was
+    dropped and before the manifest lost its "history" and "trainable"
+    entries and the config its retired keys (`_legacy_manifest`).
+    """
+    _write_legacy(path, _legacy_manifest(ck, history), [ck.params[n].data for n in sorted(ck.params)])
+
+
+def save_checkpoint_with_moments(path, ck, adam_m, adam_v, adam_t, history):
+    """Write `ck` in the earlier checkpoint layout that also held Adam state.
+
+    The manifest is `save_checkpoint_with_history`'s plus an "adam_t"
+    step count and, after the "param" entries, one "adam_m" then one
+    "adam_v" entry per moment array, each group in sorted name order;
+    the float64 values follow in manifest order. This is the writer of
+    that layout, kept as the reference for files written before
+    optimizer state was dropped.
+    """
+    manifest = _legacy_manifest(ck, history)
+    manifest["adam_t"] = adam_t
+    arrays = [ck.params[n].data for n in sorted(ck.params)]
+    for kind, table in (("adam_m", adam_m), ("adam_v", adam_v)):
+        for n in sorted(table):
+            manifest["tensors"].append({"name": n, "shape": list(table[n].shape), "kind": kind, "trainable": False})
+            arrays.append(table[n])
+    _write_legacy(path, manifest, arrays)
+
+
+def edit_manifest(blob, edit):
+    """The checkpoint file `blob` with its manifest dict passed through `edit` and re-encoded canonically."""
+    (manifest_len,) = struct.unpack("<Q", blob[8:16])
+    manifest = json.loads(blob[16 : 16 + manifest_len])
+    edit(manifest)
+    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + manifest_len :]
 
 
 def load_static_vectors_per_value(path, vocab, dim, seed=0):

@@ -136,7 +136,7 @@ def test_batched_loss_gradients_match_the_per_pair_loss(fixture):
     else:
         (batch,) = batches
         batched = _classification_loss(model, batch, train=False, rng=None)
-        joined = cross_entropy(_per_pair_rows(model, batch), batch.labels, mean=not model.cfg.sum_loss)
+        joined = cross_entropy(_per_pair_rows(model, batch), batch.labels)
     assert batched.data.tobytes() == joined.data.tobytes()
     got, want = _grads(model, batched), _grads(model, joined)
     assert sorted(got) == sorted(want) == sorted(n for n, t in model.params.items() if t.requires_grad)

@@ -5,10 +5,12 @@ import pytest
 
 from sentmatch.checkpoint import load_checkpoint, save_checkpoint
 from sentmatch.cli import main
-from sentmatch.data import RawPair
+from sentmatch.data import RawPair, read_dataset
 from sentmatch.synthetic import make_classification_pairs, make_ranking_groups, write_tsv
 from sentmatch.trainer import train
 from sentmatch.config import TrainConfig
+
+import oracles
 
 TINY = ["--static_dim", "12", "--contextual_dim", "0", "--hidden", "8", "--epochs", "1", "--batch_size", "16", "--seed", "3"]
 
@@ -260,3 +262,69 @@ class TestContextualFlow:
         train_path, _ = corpus
         code = main(["train", "--train", str(train_path), "--out", str(tmp_path / "x"), "--static_dim", "12", "--contextual_dim", "4", "--hidden", "8", "--epochs", "1"])
         assert code == 1
+
+
+class TestEarlierArtifacts:
+    """Files written before the retired config keys, the manifest's history and its trainable flags were dropped."""
+
+    @pytest.fixture(params=["snli", "wikiqa"])
+    def old_and_new(self, request, corpus, rank_corpus, tmp_path):
+        task = request.param
+        data = corpus[1] if task == "snli" else rank_corpus
+        pairs = read_dataset(data, task)
+        result = train(TrainConfig(task=task, static_dim=12, contextual_dim=0, hidden=8, epochs=2, batch_size=8, seed=3), pairs, dev_pairs=pairs)
+        new, with_history, with_moments = tmp_path / "new.bin", tmp_path / "history.bin", tmp_path / "moments.bin"
+        save_checkpoint(new, result.checkpoint)
+        oracles.save_checkpoint_with_history(with_history, result.checkpoint, result.history)
+        moments = {n: np.full(t.shape, 0.25) for n, t in result.checkpoint.params.items()}
+        oracles.save_checkpoint_with_moments(with_moments, result.checkpoint, moments, moments, adam_t=3, history=result.history)
+        return data, new, (with_history, with_moments)
+
+    def test_eval_and_predict_print_what_they_print_for_the_new_file(self, old_and_new, capsys):
+        data, new, olds = old_and_new
+        outputs = []
+        for path in (new, *olds):
+            capsys.readouterr()
+            assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 0
+            assert main(["predict", "--checkpoint", str(path), "--data", str(data)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_load_then_save_writes_the_new_files_bytes(self, old_and_new, tmp_path):
+        _, new, olds = old_and_new
+        for old in olds:
+            resaved = tmp_path / "resaved.bin"
+            save_checkpoint(resaved, load_checkpoint(old))
+            assert resaved.read_bytes() == new.read_bytes()
+
+    def test_manifest_with_a_retired_key_set_exits_2_naming_the_file(self, old_and_new, tmp_path, capsys):
+        data, new, (with_history, _) = old_and_new
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(oracles.edit_manifest(with_history.read_bytes(), lambda m: m["config"].update(sum_loss=True)))
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and "sum_loss" in err
+
+    def test_old_config_echo_still_trains(self, corpus, tmp_path):
+        train_path, _ = corpus
+        old = tmp_path / "old.cfg"
+        old.write_text("hidden = 8\nstatic_dim = 12\ncontextual_dim = 0\nepochs = 1\nsum_loss = False\ninclude_unanswerable = False\n")
+        assert main(["train", "--train", str(train_path), "--config", str(old), "--out", str(tmp_path / "run"), "--quiet"]) == 0
+        assert "sum_loss" not in (tmp_path / "run" / "config.txt").read_text()
+
+    def test_config_file_setting_a_retired_key_exits_1_naming_it(self, corpus, tmp_path, capsys):
+        train_path, _ = corpus
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("sum_loss = true\n")
+        out = tmp_path / "x"
+        assert main(["train", "--train", str(train_path), "--config", str(cfg_file), "--out", str(out), *TINY]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sum_loss" in err and "retired" in err
+        assert not out.exists()
+
+    def test_retired_key_as_a_flag_exits_1(self, corpus, tmp_path, capsys):
+        train_path, _ = corpus
+        out = tmp_path / "x"
+        assert main(["train", "--train", str(train_path), "--out", str(out), *TINY, "--include_unanswerable", "true"]) == 1
+        assert "--include_unanswerable" in capsys.readouterr().err
+        assert not out.exists()

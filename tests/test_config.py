@@ -118,3 +118,20 @@ class TestFileAndOverrides:
         cfg = TrainConfig(hidden=64, no_alignment=True, seed=9)
         again = TrainConfig.from_dict({k: str(v) for k, v in cfg.to_dict().items()})
         assert again == cfg
+
+
+class TestRetiredKeys:
+    @pytest.mark.parametrize("key", ["sum_loss", "include_unanswerable"])
+    @pytest.mark.parametrize("value", ["false", "False", "0", False])
+    def test_retired_key_at_its_old_default_reads(self, key, value):
+        assert TrainConfig.from_dict({key: value, "hidden": "32"}) == TrainConfig(hidden=32)
+
+    @pytest.mark.parametrize("key", ["sum_loss", "include_unanswerable"])
+    @pytest.mark.parametrize("value", ["true", "1", True])
+    def test_retired_key_set_is_an_error_naming_it(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}' is retired"):
+            TrainConfig.from_dict({key: value})
+
+    def test_retired_key_is_no_field(self):
+        cfg = TrainConfig.from_dict({"sum_loss": "false"})
+        assert "sum_loss" not in cfg.to_dict() and "include_unanswerable" not in cfg.to_dict()

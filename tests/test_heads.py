@@ -85,10 +85,8 @@ class TestCrossEntropy:
         raw = rng.uniform(0.05, 1.0, size=(6, 4))
         probs_data = raw / raw.sum(axis=1, keepdims=True)
         labels = rng.integers(0, 4, size=6)
-        got = cross_entropy(T.constant(probs_data), labels, mean=True).item()
-        assert abs(got - oracles.cross_entropy_direct(probs_data, labels, mean=True)) <= 1e-10
-        got_sum = cross_entropy(T.constant(probs_data), labels, mean=False).item()
-        assert abs(got_sum - oracles.cross_entropy_direct(probs_data, labels, mean=False)) <= 1e-10
+        got = cross_entropy(T.constant(probs_data), labels).item()
+        assert abs(got - oracles.cross_entropy_direct(probs_data, labels)) <= 1e-10
 
     def test_label_out_of_range_raises(self):
         with pytest.raises(DataError, match="label"):

@@ -80,15 +80,13 @@ class TestMapMrr:
         warped = [[(np.exp(scale * s), rel) for s, rel in g] for g in groups]
         np.testing.assert_allclose(map_mrr(warped), base, atol=1e-15)
 
-    def test_group_without_relevant_excluded_by_default(self):
+    def test_group_without_relevant_is_left_out(self):
         groups = [
             [(0.9, True), (0.1, False)],
             [(0.5, False), (0.4, False)],
         ]
-        m_excl, r_excl = map_mrr(groups)
-        assert m_excl == 1.0 and r_excl == 1.0
-        m_incl, r_incl = map_mrr(groups, include_no_positive=True)
-        assert m_incl == 0.5 and r_incl == 0.5
+        m, r = map_mrr(groups)
+        assert m == 1.0 and r == 1.0
 
     def test_ties_broken_by_stable_input_order(self):
         cands = [(0.5, False), (0.5, True)]

@@ -52,7 +52,7 @@ def legacy_ck_blob(tmp_path_factory, valid_ck):
     """The same checkpoint in the earlier layout that also held Adam state."""
     moments = {n: np.full(t.shape, 0.5) for n, t in valid_ck.params.items()}
     path = tmp_path_factory.mktemp("valid") / "legacy.bin"
-    oracles.save_checkpoint_with_moments(path, valid_ck, moments, moments, adam_t=1)
+    oracles.save_checkpoint_with_moments(path, valid_ck, moments, moments, adam_t=1, history=[{"epoch": 0, "train_loss": 1.0}])
     return path.read_bytes()
 
 

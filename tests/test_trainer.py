@@ -113,7 +113,7 @@ class TestAdam:
             adam_step(model.params, m, v, t=t, cfg=cfg, live=live)
 
         step(1)
-        ck = _snapshot(model, 0, result.checkpoint.vocab, [])
+        ck = _snapshot(model, 0, result.checkpoint.vocab)
 
         def saved_bytes():
             return [t.data.tobytes() for t in ck.params.values()]
@@ -131,7 +131,7 @@ class TestAdam:
         p1.grad = np.full(3, 10.0)
         p2.grad = np.full(4, 10.0)
         params = {"a": p1, "b": p2}
-        norm = clip_gradients(params, max_norm=5.0, live={})
+        norm = clip_gradients(params, max_norm=5.0)
         assert norm > 5.0
         total = np.sqrt(sum(float(np.sum(p.grad**2)) for p in params.values()))
         assert abs(total - 5.0) <= 1e-9
@@ -200,7 +200,7 @@ class TestRowSparseAdam:
             if loss is not None:
                 loss.backward()
                 ref_loss.backward()
-            assert clip_gradients(params, clip, live) == oracles.clip_gradients_dense(ref_params, clip)
+            assert clip_gradients(params, clip) == oracles.clip_gradients_dense(ref_params, clip)
             for n in shapes:
                 ref[n] = oracles.adam_dense(*ref[n], ref_params[n].grad, t, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
             adam_step(params, m, v, t=t, cfg=cfg, live=live)
@@ -227,7 +227,7 @@ class TestRowSparseAdam:
             adam_step(model.params, m, v, t=t, cfg=cfg, live=live)
 
         step(1, [2, 3])
-        ck = _snapshot(model, 0, result.checkpoint.vocab, [])
+        ck = _snapshot(model, 0, result.checkpoint.vocab)
         before = [t.data.tobytes() for t in ck.params.values()]
         live_rows = table.data[[2, 3, 4]].tobytes()
         step(2, [4])
@@ -238,14 +238,27 @@ class TestRowSparseAdam:
         # nothing trains after the last epoch, so its checkpoint is not a copy
         assert all(result.checkpoint.params[n].data is p.data for n, p in model.params.items())
 
-    def test_clip_sums_a_table_adam_updates_whole_dense(self):
-        tables = {n: T.parameter(np.ones((10, 2))) for n in ("rows", "whole")}
-        for table in tables.values():
-            T.sum_all(T.take_rows(table, [3, 3, 5])).backward()
-        norm = clip_gradients(tables, 0.0, {"rows": np.array([3, 5]), "whole": None})
-        assert T._grad_rows(tables["rows"]) is not None, "a row-sparse table keeps its rows"
-        assert T._grad_rows(tables["whole"]) is None, "the whole table's gradient was read dense"
-        assert norm == float(np.sqrt(2 * (4.0 * 2 + 1.0 * 2)))
+    def test_clip_scales_a_row_pair_in_place_after_the_table_goes_whole(self, rng):
+        # gathers alone carry the table past half live at step 4; the clip fires at every step
+        plan = [[0, 1, 2], [3, 4, 5, 5], [6, 7, 8], [9, 10, 11, 2], [3], [12, 19, 19], [0, 5], [18, 4, 7]]
+        cfg = _tiny_cfg(lr=0.01)
+        shapes = {"a": (20, 3), "w": (3, 2)}
+        params = {n: T.parameter(rng.normal(size=s)) for n, s in shapes.items()}
+        ref_params = {n: T.parameter(p.data.copy()) for n, p in params.items()}
+        m, v, ref_m, ref_v = ({n: np.zeros(s) for n, s in shapes.items()} for _ in range(4))
+        live = {}
+        for t, ids in enumerate(plan, start=1):
+            for ps, gather in ((params, T.take_rows), (ref_params, dense_take_rows)):
+                T.sum_all(T.tanh(T.matmul(gather(ps["a"], ids), ps["w"]))).backward()
+            norm = clip_gradients(params, 1e-3)
+            assert T._grad_rows(params["a"]) is not None, "the clip keeps the table's gradient a row pair"
+            assert norm > 1e-3 and norm == oracles.clip_gradients_dense(ref_params, 1e-3)
+            adam_step(params, m, v, t=t, cfg=cfg, live=live)
+            oracles.adam_step_dense(ref_params, ref_m, ref_v, t, cfg)
+            for n, p in params.items():
+                assert p.data.tobytes() == ref_params[n].data.tobytes(), f"{n} step {t}"
+                assert m[n].tobytes() == ref_m[n].tobytes() and v[n].tobytes() == ref_v[n].tobytes(), f"{n} step {t}"
+            assert (live["a"] is None) == (t >= 4)
 
     def test_train_step_memory_does_not_scale_with_the_table(self, rng):
         cfg = _tiny_cfg(grad_clip=1e-3)
@@ -256,7 +269,7 @@ class TestRowSparseAdam:
         # a first step on a small table imports what numpy loads lazily
         small = T.parameter(rng.normal(size=(300, 32)))
         T.sum_all(T.take_rows(small, [1, 2])).backward()
-        clip_gradients({"s": small}, cfg.grad_clip, {})
+        clip_gradients({"s": small}, cfg.grad_clip)
         adam_step({"s": small}, {"s": np.zeros(small.shape)}, {"s": np.zeros(small.shape)}, t=1, cfg=cfg, live={})
         lookups = [T.take_rows(table, rng.integers(0, 20000, size=12)) for _ in range(40)]
         loss = T.sum_all(T.tanh(T.matmul(T.concat(lookups, axis=0), params["w"])))
@@ -265,7 +278,7 @@ class TestRowSparseAdam:
             tracemalloc.reset_peak()
             loss.backward()
             live = {}
-            norm = clip_gradients(params, cfg.grad_clip, live)
+            norm = clip_gradients(params, cfg.grad_clip)
             adam_step(params, m, v, t=1, cfg=cfg, live=live)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -326,15 +339,15 @@ class TestTraining:
         vocab = Vocab(build_vocab(pairs).id_to_token[2:] + [f"spare{i}" for i in range(400)])
         norms, lives = [], []
 
-        def row_sparse_clip(params, max_norm, live):
-            norms.append(clip_gradients(params, max_norm, live))
+        def row_sparse_clip(params, max_norm):
+            norms.append(clip_gradients(params, max_norm))
             return norms[-1]
 
         def row_sparse_adam(params, state_m, state_v, t, cfg, live):
             lives.append(live)
             adam_step(params, state_m, state_v, t, cfg, live)
 
-        def dense_clip(params, max_norm, live):
+        def dense_clip(params, max_norm):
             norms.append(oracles.clip_gradients_dense(params, max_norm))
             return norms[-1]
 
@@ -549,11 +562,8 @@ class TestCheckpoint:
         path, old_path = tmp_path / "ck.bin", tmp_path / "old.bin"
         save_checkpoint(path, result.checkpoint)
         blob = path.read_bytes()
-        (manifest_len,) = struct.unpack("<Q", blob[8:16])
-        manifest = json.loads(blob[16 : 16 + manifest_len])
-        manifest["rng_state"] = {"bit_generator": "PCG64", "state": {"state": 2**100 + 7, "inc": 2**90 + 1}, "has_uint32": 0, "uinteger": 0}
-        header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        old_path.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + manifest_len :])
+        rng_state = {"bit_generator": "PCG64", "state": {"state": 2**100 + 7, "inc": 2**90 + 1}, "has_uint32": 0, "uinteger": 0}
+        old_path.write_bytes(oracles.edit_manifest(blob, lambda manifest: manifest.update(rng_state=rng_state)))
         old = load_checkpoint(old_path)
         assert evaluate_checkpoint(old, pairs).metrics == evaluate_checkpoint(result.checkpoint, pairs).metrics
         resaved = tmp_path / "resaved.bin"
@@ -568,9 +578,29 @@ class TestCheckpoint:
         (manifest_len,) = struct.unpack("<Q", blob[8:16])
         manifest = json.loads(blob[16 : 16 + manifest_len])
         params = result.checkpoint.params
-        assert sorted(manifest) == ["config", "epoch", "history", "tensors", "vocab"]
-        assert [(e["name"], e["kind"]) for e in manifest["tensors"]] == [(n, "param") for n in sorted(params)]
+        assert sorted(manifest) == ["config", "epoch", "tensors", "vocab"]
+        assert manifest["tensors"] == [{"kind": "param", "name": n, "shape": list(params[n].shape)} for n in sorted(params)]
         assert len(blob) == 16 + manifest_len + 8 * sum(t.size for t in params.values())
+
+    def test_file_with_history_and_trainable_flags_still_loads(self, tmp_path):
+        # earlier files repeated the metric history, flagged each tensor trainable, and held retired config keys
+        pairs = _classify_pairs(15, seed=23)
+        result = train(_tiny_cfg(epochs=2, freeze_static=True), pairs, dev_pairs=pairs)
+        old_path, path, resaved = tmp_path / "old.bin", tmp_path / "ck.bin", tmp_path / "resaved.bin"
+        oracles.save_checkpoint_with_history(old_path, result.checkpoint, result.history)
+        save_checkpoint(path, result.checkpoint)
+        old = load_checkpoint(old_path)
+        assert evaluate_checkpoint(old, pairs) == evaluate_checkpoint(result.checkpoint, pairs)
+        save_checkpoint(resaved, old)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    def test_loaded_parameters_are_constants(self, tmp_path):
+        result = train(_tiny_cfg(epochs=1), _classify_pairs(12, seed=22))
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, result.checkpoint)
+        params = load_checkpoint(path).params
+        assert sorted(params) == sorted(result.checkpoint.params)
+        assert not any(t.requires_grad for t in params.values())
 
     def test_file_with_optimizer_state_still_loads(self, tmp_path, rng):
         # earlier files also held an "adam_t" step count and the Adam moments
@@ -579,7 +609,7 @@ class TestCheckpoint:
         ck = result.checkpoint
         moments = [{n: rng.normal(size=t.shape) for n, t in ck.params.items() if t.requires_grad} for _ in range(2)]
         old_path, path, resaved = tmp_path / "old.bin", tmp_path / "ck.bin", tmp_path / "resaved.bin"
-        oracles.save_checkpoint_with_moments(old_path, ck, *moments, adam_t=4)
+        oracles.save_checkpoint_with_moments(old_path, ck, *moments, adam_t=4, history=result.history)
         save_checkpoint(path, ck)
         old = load_checkpoint(old_path)
         assert evaluate_checkpoint(old, pairs).metrics == evaluate_checkpoint(ck, pairs).metrics
@@ -617,7 +647,7 @@ class TestCheckpoint:
         moments = [{n: rng.normal(size=t.shape) for n, t in ck.params.items() if t.requires_grad} for _ in range(2)]
         plain, legacy = tmp_path / "ck.bin", tmp_path / "legacy.bin"
         save_checkpoint(plain, ck)
-        oracles.save_checkpoint_with_moments(legacy, ck, *moments, adam_t=1)
+        oracles.save_checkpoint_with_moments(legacy, ck, *moments, adam_t=1, history=result.history)
         peaks = []
         for path in (plain, legacy):
             tracemalloc.start()
