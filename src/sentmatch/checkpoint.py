@@ -19,7 +19,8 @@ moment entries are skipped unread, and config keys retired since
 load reproduces the file byte for byte, in the current layout. Saving
 is atomic: a file at the target path is replaced only by a complete
 new one. A file that is cut short, or whose manifest is not UTF-8 JSON
-with every expected key, known tensor kinds and a valid config, or
+with every expected key, known tensor kinds, a config object that
+passes `TrainConfig.validate` and a non-negative integer epoch, or
 whose parameters are not, by name and shape, those its config and
 vocabulary call for (`model.param_shapes`, checked before any array is
 read), or that holds a non-finite parameter value, raises ParseError
@@ -39,7 +40,7 @@ import numpy as np
 from . import tensor as T
 from .config import TrainConfig
 from .embedding import Vocab, _need, _read_exact, _write_atomic
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DataError, ParseError
 from .model import param_shapes
 
 MAGIC = b"SMCK"
@@ -149,7 +150,15 @@ def _check_tensors(path, entries, expected):
 
 
 def _from_manifest(fh, path, size, manifest):
-    config = TrainConfig.from_dict(manifest["config"])
+    if not isinstance(manifest["config"], dict):
+        raise ParseError(f"{path}: manifest config is not an object")
+    try:
+        config = TrainConfig.from_dict(manifest["config"]).validate()
+    except DataError as exc:  # an unknown task
+        raise ParseError(f"{path}: malformed manifest ({exc})") from None
+    epoch = manifest["epoch"]
+    if type(epoch) is not int or epoch < 0:
+        raise ParseError(f"{path}: epoch {epoch!r} is not a non-negative integer")
     tokens = manifest["vocab"]
     vocab = Vocab(tokens[2:])
     if vocab.id_to_token != tokens:
@@ -165,4 +174,4 @@ def _from_manifest(fh, path, size, manifest):
         if not np.isfinite(data).all():
             raise ParseError(f"{path}: tensor {entry['name']!r} holds a non-finite value")
         params[entry["name"]] = T.constant(data)
-    return Checkpoint(params=params, epoch=manifest["epoch"], config=config, vocab=vocab)
+    return Checkpoint(params=params, epoch=epoch, config=config, vocab=vocab)

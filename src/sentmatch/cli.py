@@ -6,7 +6,8 @@ wins over defaults. The resolved configuration is echoed into the output
 directory so a run is reproducible from its artifacts alone.
 
 Output locations are taken relative to $SENTMATCH_OUT when it is set.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical abort.
+Exit codes: 0 success, 1 usage error, 2 data error (an unreadable or
+unwritable path included), 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def main(argv=None):
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -8,9 +8,10 @@ addition. The two encodings are then soft-aligned against each other
 is fused with its aligned counterpart through a tanh candidate and a
 sigmoid gate. Both sentences share all encoder weights.
 
-Masking discipline: padded rows are zeroed after every sublayer and
-attention logits over padded positions carry a large negative additive
-bias, so padded positions can never influence an unpadded output.
+Masking discipline: padded rows are zeroed after every sublayer
+(`tensor.mask_rows`) and every attention softmax takes the mask of the
+positions it normalizes over, which get weight exactly 0, so padded
+positions can never influence an unpadded output.
 
 Every function takes one pair, as (len, d) activations with (len,)
 masks, or a padded batch, as (batch, len, d) activations with
@@ -20,8 +21,6 @@ masks, or a padded batch, as (batch, len, d) activations with
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from . import tensor as T
 
@@ -37,27 +36,6 @@ from . import tensor as T
 #   enc.w_merge concat re-projection used when fusion is disabled, 2d x d
 
 
-def row_mask(mask, width):
-    """Constant (..., n, width) array repeating the 0/1 position mask."""
-    return T.constant(np.repeat(np.asarray(mask, dtype=np.float64)[..., None], width, axis=-1))
-
-
-def col_bias(mask_cols, n_rows):
-    """Additive (..., n, m) bias pushing masked columns out of row softmaxes."""
-    bias = (1.0 - np.asarray(mask_cols, dtype=np.float64)) * T.MASK_OFF
-    return T.constant(np.repeat(bias[..., None, :], n_rows, axis=-2))
-
-
-def row_bias(mask_rows, n_cols):
-    """Additive (..., n, m) bias pushing masked rows out of column softmaxes."""
-    bias = (1.0 - np.asarray(mask_rows, dtype=np.float64)) * T.MASK_OFF
-    return T.constant(np.repeat(bias[..., None], n_cols, axis=-1))
-
-
-def vec_bias(mask):
-    return T.constant((1.0 - np.asarray(mask, dtype=np.float64)) * T.MASK_OFF)
-
-
 def encode_context(x, mask, params, use_self_attention=True, train=False, dropout_rate=0.0, rng=None):
     """Single-sentence encoding: projection, conv stack, self-attention.
 
@@ -65,10 +43,9 @@ def encode_context(x, mask, params, use_self_attention=True, train=False, dropou
     (..., len, d) with padded rows exactly zero.
     """
     d = params["enc.w_in"].shape[1]
-    keep = row_mask(mask, d)
 
     def sublayer_tail(h):
-        h = T.mul(h, keep)
+        h = T.mask_rows(h, mask)
         if train and dropout_rate > 0.0:
             # padded rows are +-0 here, and dropout only scales them, so they stay +-0
             h = T.dropout(h, dropout_rate, rng)
@@ -82,8 +59,7 @@ def encode_context(x, mask, params, use_self_attention=True, train=False, dropou
     if use_self_attention:
         queries = T.matmul(h, params["enc.w_att"])
         scores = T.mul_const(T.matmul(queries, T.transpose(h)), 1.0 / math.sqrt(d))
-        scores = T.add(scores, col_bias(mask, h.shape[-2]))
-        weights = T.softmax(scores, axis=-1)
+        weights = T.softmax(scores, axis=-1, mask=mask)
         h = sublayer_tail(T.add(h, T.matmul(weights, h)))
     return h
 
@@ -100,11 +76,10 @@ def align(c, q, mask_a, mask_b, w_c, w_q):
     Returns (aligned_first, aligned_second, similarity).
     """
     s = T.matmul(T.relu(T.matmul(c, w_c)), T.transpose(T.relu(T.matmul(q, w_q))))
-    n, m = s.shape[-2:]
-    over_b = T.softmax(T.add(s, col_bias(mask_b, n)), axis=-1)
-    c_aligned = T.mul(T.matmul(over_b, q), row_mask(mask_a, c.shape[-1]))
-    over_a = T.softmax(T.add(s, row_bias(mask_a, m)), axis=-2)
-    q_aligned = T.mul(T.matmul(T.transpose(over_a), c), row_mask(mask_b, c.shape[-1]))
+    over_b = T.softmax(s, axis=-1, mask=mask_b)
+    c_aligned = T.mask_rows(T.matmul(over_b, q), mask_a)
+    over_a = T.softmax(s, axis=-2, mask=mask_a)
+    q_aligned = T.mask_rows(T.matmul(T.transpose(over_a), c), mask_b)
     return c_aligned, q_aligned, s
 
 

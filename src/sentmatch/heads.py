@@ -44,8 +44,7 @@ def pool_meanmax(z, mask):
     counts = keep.sum(axis=-1)[..., None, None]
     total = T.matmul(T.constant(keep[..., None, :]), z)
     mean = T.mul(total, T.constant(np.broadcast_to(1.0 / counts, total.shape)))
-    off = (1.0 - keep)[..., None] * T.MASK_OFF
-    peak = T.max_along(T.add(z, T.constant(np.broadcast_to(off, z.shape))), axis=-2)
+    peak = T.max_along(z, axis=-2, mask=keep)
     return T.concat([mean, T.reshape(peak, mean.shape)], axis=-1)
 
 

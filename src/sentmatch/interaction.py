@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .encoder import col_bias, row_mask, vec_bias
 
 
 def similarity(h, p, w_h, w_p):
@@ -28,8 +27,7 @@ def similarity(h, p, w_h, w_p):
 
 def h2p_attention(s, p, mask_b):
     """Each first-sentence position as a mixture of second-sentence rows."""
-    weights = T.softmax(T.add(s, col_bias(mask_b, s.shape[-2])), axis=-1)
-    return T.matmul(weights, p)
+    return T.matmul(T.softmax(s, axis=-1, mask=mask_b), p)
 
 
 def p2h_attention(s, h, mask_a, mask_b):
@@ -42,10 +40,8 @@ def p2h_attention(s, h, mask_a, mask_b):
     Returns (vector as 1 x d, broadcast n x d), per item of a batch.
     """
     n = s.shape[-2]
-    biased = T.add(s, col_bias(mask_b, n))
-    best = T.max_along(biased, axis=-1)
-    weights = T.softmax(T.add(best, vec_bias(mask_a)))
-    c = T.matmul(T.reshape(weights, weights.shape[:-1] + (1, n)), h)
+    best = T.reshape(T.max_along(s, axis=-1, mask=mask_b), s.shape[:-2] + (1, n))
+    c = T.matmul(T.softmax(best, axis=-1, mask=mask_a), h)
     return c, T.tile_rows(c, n)
 
 
@@ -62,9 +58,7 @@ def self_attend(g, mask_a):
     unpadded position passes through unchanged.
     """
     e = T.matmul(g, T.transpose(g))
-    weights = T.softmax(T.add(e, col_bias(mask_a, g.shape[-2])), axis=-1)
-    z = T.matmul(weights, g)
-    return T.mul(z, row_mask(mask_a, g.shape[-1]))
+    return T.mask_rows(T.matmul(T.softmax(e, axis=-1, mask=mask_a), g), mask_a)
 
 
 def interact(

@@ -30,11 +30,14 @@ bit for bit.
 
 The engine is deliberately small: arrays of at most 3 dimensions, no
 broadcasting (equal shapes are enforced where the contract says so),
-single-threaded per graph. Sequence ops work on the last two axes
-(positions x features), so the same op takes one sentence pair's 2-d
-activations or a batch's 3-d ones with a leading batch axis; a shared
-2-d weight is applied to every item of the batch, and each item's
-product is the one its 2-d form computes. Convolution kernels are the
+single-threaded per graph. A padding mask is the one operand that is
+broadcast: `softmax`, `max_along` and `mask_rows` take the 0/1 (..., len)
+positions of a padded batch and spread them over the other of the last
+two axes. Sequence ops work on the last two axes (positions x features),
+so the same op takes one sentence pair's 2-d activations or a batch's
+3-d ones with a leading batch axis; a shared 2-d weight is applied to
+every item of the batch, and each item's product is the one its 2-d
+form computes. Convolution kernels are the
 other 3-d arrays (width, d_in, d_out). Tensors are immutable values once
 built; separate graphs can live on separate threads because there is no
 global tape.
@@ -243,30 +246,6 @@ def _pairwise_tree(n):
     return splits, *leaves
 
 
-def _leaf_sums(x):
-    """numpy's sum of each row of `x`, a run of at most 128 values, bit for bit.
-
-    Fewer than 8 values are added in order (numpy starts at -0.0, which
-    adding the first value absorbs); longer runs go through 8 strided
-    accumulators, combined pairwise, and then the tail past the last
-    multiple of 8 is added in order.
-    """
-    n = x.shape[1]
-    if n < 8:
-        res = x[:, 0].copy()
-        for j in range(1, n):
-            res += x[:, j]
-        return res
-    body = n - n % 8
-    r = x[:, :8].copy()
-    for i in range(8, body, 8):
-        r += x[:, i:i + 8]
-    res = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    for j in range(body, n):
-        res += x[:, j]
-    return res
-
-
 def rows_sum_squares(shape, rows, values):
     """`float(np.sum(g * g))` for the (V, d) array g that is zero outside `rows`.
 
@@ -298,7 +277,8 @@ def rows_sum_squares(shape, rows, values):
     sums = np.empty(leaves.size)
     for n in np.unique(lens).tolist():
         sel = np.flatnonzero(lens == n)
-        sums[sel] = _leaf_sums(packed[offsets[sel][:, None] + np.arange(n)])
+        # a leaf is one run of at most 128 values, which numpy sums alike in a row or in the flat array
+        sums[sel] = packed[offsets[sel][:, None] + np.arange(n)].sum(axis=1)
     # fold bottom-up; a node missing a child takes the other's sum unchanged
     levels, indices = leaf_level[leaves], leaf_index[leaves]
     idx, val = np.empty(0, dtype=np.intp), np.empty(0)
@@ -444,15 +424,25 @@ def conv1d(x, kernels):
 # nonlinearities and normalization
 
 
-def softmax(x, axis=-1):
+def _positions(op, x, mask, axis):
+    """The 0/1 (..., len) `mask` of the positions along `axis`, one of `x`'s last two, broadcast over the other."""
+    keep = np.asarray(mask, dtype=np.float64)
+    if x.ndim < 2 or axis % x.ndim < x.ndim - 2 or keep.shape != x.shape[:-2] + (x.shape[axis],):
+        raise ShapeError(f"{op} mask of shape {keep.shape} does not fit shape {x.shape} along axis {axis}")
+    return keep[..., None, :] if axis % x.ndim == x.ndim - 1 else keep[..., None]
+
+
+def softmax(x, axis=-1, mask=None):
     """Numerically stable softmax along `axis`.
 
     Slices are shifted by their max before exponentiation, so extreme
-    inputs do not overflow. A slice whose entries are all -inf (or all at
+    inputs do not overflow. `mask` (see `_positions`) adds `MASK_OFF` to
+    the masked entries, which then get weight exactly 0, and -0.0 (no
+    change) to the rest. A slice whose entries are all -inf (or all at
     `MASK_OFF`) normalizes to the uniform distribution; callers that fully
     mask a slice are expected to zero the corresponding output rows.
     """
-    d = x.data
+    d = x.data if mask is None else x.data + (1.0 - _positions("softmax", x, mask, axis)) * MASK_OFF
     m = np.max(d, axis=axis, keepdims=True)
     m_safe = np.where(np.isfinite(m), m, 0.0)
     e = np.exp(d - m_safe)
@@ -465,6 +455,16 @@ def softmax(x, axis=-1):
         _accumulate(x, out_data * (g - inner))
 
     return _node(out_data, (x,), vjp)
+
+
+def mask_rows(x, mask):
+    """Zero the rows of `x` (..., len, d) where the 0/1 `mask` (..., len) is 0."""
+    keep = _positions("mask_rows", x, mask, -2)
+
+    def vjp(g):
+        _accumulate(x, g * keep)
+
+    return _node(x.data * keep, (x,), vjp)
 
 
 def relu(x):
@@ -617,10 +617,11 @@ def sum_all(x):
     return _node(np.sum(x.data), (x,), vjp)
 
 
-def max_along(x, axis):
-    """Max reduction along one axis; gradient routes to the first argmax."""
-    idx = np.expand_dims(np.argmax(x.data, axis=axis), axis)
-    out_data = np.max(x.data, axis=axis)
+def max_along(x, axis, mask=None):
+    """Max reduction along one axis, `mask` added as in `softmax`; gradient routes to the first argmax."""
+    d = x.data if mask is None else x.data + (1.0 - _positions("max_along", x, mask, axis)) * MASK_OFF
+    idx = np.expand_dims(np.argmax(d, axis=axis), axis)
+    out_data = np.max(d, axis=axis)
 
     def vjp(g):
         gx = np.zeros_like(x.data)

@@ -321,6 +321,28 @@ def embed_rows_composed(ops, table, ids, mask, contexts, ctx_dim, rate, rng):
     return x
 
 
+def mask_bias_composed(ops, x, mask, axis):
+    """`x` plus the additive bias the attention blocks first built from a padding mask.
+
+    `ops` is the tensor engine (passed in, not imported). The 0/1
+    (..., len) positions along `axis`, one of the last two, become
+    `(1 - mask) * MASK_OFF`, repeated over the other axis into a constant
+    of `x`'s shape, and are added with `add`: the reference for the
+    `mask` argument of `softmax` and `max_along`.
+    """
+    bias = (1.0 - np.asarray(mask, dtype=np.float64)) * ops.MASK_OFF
+    if axis % x.ndim == x.ndim - 1:
+        full = np.repeat(bias[..., None, :], x.shape[-2], axis=-2)
+    else:
+        full = np.repeat(bias[..., None], x.shape[-1], axis=-1)
+    return ops.add(x, ops.constant(full))
+
+
+def mask_rows_composed(ops, x, mask):
+    """`x` (..., len, d) times the 0/1 mask repeated over the width, with `mul`: the reference for `mask_rows`."""
+    return ops.mul(x, ops.constant(np.repeat(np.asarray(mask, dtype=np.float64)[..., None], x.shape[-1], axis=-1)))
+
+
 def _legacy_manifest(ck, history):
     """The manifest earlier writers gave `ck`, `history` being the run's metric history.
 

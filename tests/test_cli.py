@@ -328,3 +328,31 @@ class TestEarlierArtifacts:
         assert main(["train", "--train", str(train_path), "--out", str(out), *TINY, "--include_unanswerable", "true"]) == 1
         assert "--include_unanswerable" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestUnusablePaths:
+    """A path the operating system refuses is a data error: exit 2, one line naming it."""
+
+    @pytest.mark.parametrize("flag", ["--data", "--checkpoint", "--config", "--vectors", "--out"])
+    def test_exits_2_naming_the_path(self, corpus, tmp_path, capsys, flag):
+        train_path, dev_path = corpus
+        a_dir = tmp_path / "a_dir"
+        a_dir.mkdir()
+        a_file = tmp_path / "a_file"
+        a_file.write_text("not a directory\n")
+        run = tmp_path / "run"
+        if flag == "--data":
+            assert main(["train", "--train", str(train_path), "--out", str(run), "--quiet", *TINY]) == 0
+            capsys.readouterr()
+        culprit = a_file if flag == "--out" else a_dir
+        argv = {
+            "--data": ["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(a_dir)],
+            "--checkpoint": ["eval", "--checkpoint", str(a_dir), "--data", str(dev_path)],
+            "--config": ["train", "--train", str(train_path), "--config", str(a_dir), "--out", str(run), "--quiet"],
+            "--vectors": ["train", "--train", str(train_path), "--vectors", str(a_dir), "--out", str(run), "--quiet", *TINY],
+            "--out": ["train", "--train", str(train_path), "--out", str(a_file), "--quiet", *TINY],
+        }[flag]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and str(culprit) in err

@@ -220,6 +220,30 @@ class TestCheckpointFile:
         assert str(path) in err and repr(name) in err
 
 
+    @pytest.mark.parametrize(
+        "edit, culprit",
+        [
+            (lambda m: m.update(config=None), "config is not an object"),
+            (lambda m: m.update(config=[]), "config is not an object"),
+            (lambda m: m["config"].update(task="nope"), "unknown task 'nope'"),
+            (lambda m: m["config"].update(dropout=1.5), "dropout"),
+            (lambda m: m["config"].update(batch_size=0), "batch_size"),
+            (lambda m: m.update(epoch="x"), "epoch 'x'"),
+        ],
+        ids=["null-config", "list-config", "unknown-task", "dropout-out-of-range", "zero-batch-size", "epoch-not-an-integer"],
+    )
+    def test_a_manifest_config_or_epoch_that_fails_its_checks_exits_2_naming_the_file(self, tmp_path, capsys, ck_blob, edit, culprit):
+        path = _write(tmp_path, "ck.bin", oracles.edit_manifest(ck_blob, edit))
+        with pytest.raises(ParseError, match=str(path)) as err:
+            load_checkpoint(path)
+        assert culprit in str(err.value)
+        dev = tmp_path / "dev.tsv"
+        write_tsv(dev, make_classification_pairs(6, seed=2))
+        assert main(["eval", "--checkpoint", str(path), "--data", str(dev)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and str(path) in err
+
+
 class TestContextualCacheFile:
     @given(st.data())
     def test_every_strict_prefix_is_a_parse_error(self, cut_dir, cache_blob, data):

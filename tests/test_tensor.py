@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -171,7 +172,7 @@ def _op_cases(rng):
         ("take_rows", _weighted(lambda ins: T.take_rows(ins[0], [2, 0, 2]), ), [b34]),
         ("tile_rows", _weighted(lambda ins: T.tile_rows(ins[0], 4)), [T.parameter(rng.normal(size=(1, 3)))]),
         ("dropout", lambda ins: T.dropout(ins[0], 0.4, np.random.default_rng(7)), [a33]),
-    ] + _batched_op_cases(rng)
+    ] + _batched_op_cases(rng) + _masked_op_cases(rng)
 
 
 # two items of 3 positions, the second padded after 2; rows 1 and 0 (<pad>) repeat
@@ -219,6 +220,29 @@ def _batched_op_cases(rng):
     ]
 
 
+def _masked_op_cases(rng):
+    """The ops' `mask` arguments, on one pair's 2-d and a batch's 3-d arrays.
+
+    Every slice keeps a position: a fully masked one has no gradient that
+    finite differences can see (the perturbation vanishes into MASK_OFF).
+    """
+    # positions along the last axis (4) and along axis -2 (3); the second item is padded
+    last, rows = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]]), np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    # keep max inputs away from ties
+    spread = rng.normal(size=(2, 3, 4)) + np.arange(24).reshape(2, 3, 4) * 0.1 + 0.05
+    return [
+        ("softmax_masked", _weighted(lambda ins: T.softmax(ins[0], axis=-1, mask=[1.0, 0.0, 1.0, 1.0])), [T.parameter(rng.normal(size=(3, 4)))]),
+        ("softmax_masked_cols", _weighted(lambda ins: T.softmax(ins[0], axis=-2, mask=[0.0, 1.0, 1.0])), [T.parameter(rng.normal(size=(3, 4)))]),
+        ("softmax_masked_batched", _weighted(lambda ins: T.softmax(ins[0], axis=-1, mask=last)), [T.parameter(rng.normal(size=(2, 3, 4)))]),
+        ("softmax_masked_cols_batched", _weighted(lambda ins: T.softmax(ins[0], axis=-2, mask=rows)), [T.parameter(rng.normal(size=(2, 3, 4)))]),
+        ("max_along_masked", _weighted(lambda ins: T.max_along(ins[0], axis=-1, mask=[0.0, 1.0, 1.0, 0.0])), [T.parameter(spread[0].copy())]),
+        ("max_along_masked_batched", _weighted(lambda ins: T.max_along(ins[0], axis=-1, mask=last)), [T.parameter(spread.copy())]),
+        ("max_along_masked_cols_batched", _weighted(lambda ins: T.max_along(ins[0], axis=-2, mask=rows)), [T.parameter(spread.copy())]),
+        ("mask_rows", _weighted(lambda ins: T.mask_rows(ins[0], [1.0, 0.0, 1.0])), [T.parameter(rng.normal(size=(3, 4)))]),
+        ("mask_rows_batched", _weighted(lambda ins: T.mask_rows(ins[0], rows)), [T.parameter(rng.normal(size=(2, 3, 4)))]),
+    ]
+
+
 OP_NAMES = [c[0] for c in _op_cases(np.random.default_rng(0))]
 
 
@@ -230,6 +254,60 @@ def test_gradients_match_finite_differences(op_name, seed):
     fn, ins = cases[op_name]
     report = T.grad_check(fn, ins, tolerance=1e-4)
     assert report.passed, f"{op_name} seed {seed}: {report}"
+
+
+def _masked_and_composed(name, axis):
+    """The engine op taking `mask`, and the composition of plain ops it replaces."""
+    if name == "mask_rows":
+        return T.mask_rows, lambda x, m: oracles.mask_rows_composed(T, x, m)
+    op = getattr(T, name)
+    return (
+        lambda x, m: op(x, axis=axis, mask=m),
+        lambda x, m: op(oracles.mask_bias_composed(T, x, m, axis), axis=axis),
+    )
+
+
+class TestMaskArgument:
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 3, 5)])
+    @pytest.mark.parametrize("name, axis", [("softmax", -1), ("softmax", -2), ("max_along", -1), ("max_along", -2), ("mask_rows", -2)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitwise_the_composition_it_replaces(self, seed, name, axis, shape):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=shape) * 3.0
+        data[rng.random(shape) < 0.25] = -0.0
+        data[rng.random(shape) < 0.1] = 0.0
+        big = rng.random(shape) < 0.1
+        data[big] = rng.choice([-1e20, 1e20], size=big.sum())  # large enough that adding MASK_OFF rounds
+        mask = (rng.random(shape[:-2] + (shape[axis],)) < 0.6).astype(np.float64)
+        if seed == 0:
+            mask[...] = 0.0  # every slice fully masked
+        elif len(shape) == 3:
+            mask[0], mask[1] = 0.0, 1.0  # a fully masked item and an unpadded one
+        runs = []
+        for fn in _masked_and_composed(name, axis):
+            x = T.parameter(data.copy())
+            out = fn(x, mask)
+            w = np.random.default_rng(100 + seed).normal(size=out.shape)
+            w[w < -1.0] = -0.0
+            T.sum_all(T.mul(out, T.constant(w))).backward()
+            runs.append((out.data.tobytes(), x.grad.tobytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "call, mask_shape, x_shape",
+        [
+            (lambda x, m: T.softmax(x, axis=-1, mask=m), (2, 3), (2, 3, 4)),
+            (lambda x, m: T.softmax(x, axis=-2, mask=m), (2, 4), (2, 3, 4)),
+            (lambda x, m: T.softmax(x, mask=m), (4,), (4,)),
+            (lambda x, m: T.max_along(x, axis=-1, mask=m), (4,), (2, 3, 4)),
+            (lambda x, m: T.max_along(x, axis=0, mask=m), (2,), (2, 3, 4)),
+            (lambda x, m: T.mask_rows(x, m), (2, 4), (2, 3, 4)),
+        ],
+        ids=["wrong-axis", "wrong-axis-cols", "vector", "no-batch-axis", "leading-axis", "mask-rows-width"],
+    )
+    def test_a_mask_of_another_shape_is_a_shape_error_naming_both(self, call, mask_shape, x_shape):
+        with pytest.raises(ShapeError, match=re.escape(str(mask_shape)) + ".*" + re.escape(str(x_shape))):
+            call(T.parameter(np.ones(x_shape)), np.ones(mask_shape))
 
 
 class TestBackward:
