@@ -36,27 +36,25 @@ from . import tensor as T
 #   enc.w_merge concat re-projection used when fusion is disabled, 2d x d
 
 
-def encode_context(x, mask, params, use_self_attention=True, train=False, dropout_rate=0.0, rng=None):
+def encode_context(x, mask, params, no_self_attention=False, rate=0.0, rng=None):
     """Single-sentence encoding: projection, conv stack, self-attention.
 
-    `x` is (..., len, d_emb), `mask` the 0/1 positions. Returns
-    (..., len, d) with padded rows exactly zero.
+    `x` is (..., len, d_emb), `mask` the 0/1 positions. Every sublayer
+    ends in dropout at `rate` (0 at inference). Returns (..., len, d)
+    with padded rows exactly zero.
     """
     d = params["enc.w_in"].shape[1]
 
     def sublayer_tail(h):
-        h = T.mask_rows(h, mask)
-        if train and dropout_rate > 0.0:
-            # padded rows are +-0 here, and dropout only scales them, so they stay +-0
-            h = T.dropout(h, dropout_rate, rng)
-        return h
+        # padded rows are +-0 after the mask, and dropout only scales them, so they stay +-0
+        return T.dropout(T.mask_rows(h, mask), rate, rng)
 
     h = T.matmul(x, params["enc.w_in"])
     h = sublayer_tail(h)
     for key in ("enc.conv1", "enc.conv2"):
         out = T.relu(T.conv1d(h, params[key]))
         h = sublayer_tail(T.add(h, out))
-    if use_self_attention:
+    if not no_self_attention:
         queries = T.matmul(h, params["enc.w_att"])
         scores = T.mul_const(T.matmul(queries, T.transpose(h)), 1.0 / math.sqrt(d))
         weights = T.softmax(scores, axis=-1, mask=mask)
@@ -104,14 +102,13 @@ def encode_pair(
     params,
     no_alignment=False,
     no_fusion=False,
-    use_self_attention=True,
-    train=False,
-    dropout_rate=0.0,
+    no_self_attention=False,
+    rate=0.0,
     rng=None,
 ):
     """Full encoder stage for a pair; returns the two fused encodings."""
-    c = encode_context(x, mask_a, params, use_self_attention, train, dropout_rate, rng)
-    q = encode_context(y, mask_b, params, use_self_attention, train, dropout_rate, rng)
+    c = encode_context(x, mask_a, params, no_self_attention, rate, rng)
+    q = encode_context(y, mask_b, params, no_self_attention, rate, rng)
     if no_alignment:
         c_aligned, q_aligned = c, q
     else:

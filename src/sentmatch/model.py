@@ -102,14 +102,14 @@ class MatchModel:
             where = f"contextual cache {source}" if source is not None else "contextual provider"
             raise DataError(f"{where} has {provider.dim}-d vectors, config asks for contextual_dim {width}")
 
-    def embed_sentence(self, ids, tokens, sids, mask, train=False, rng=None):
+    def embed_sentence(self, ids, tokens, sids, mask, rate=0.0, rng=None):
         """Graph node for one side of a batch: its (batch, n, d) embeddings.
 
         `ids` and `mask` are the side's padded (batch, n) matrices, with
         one token list and one sentence id per row. Static rows come from
         the trainable table (so gradients reach it); contextual rows are
         constants, fetched once per distinct sentence in the batch.
-        Padded rows are forced to zero and training applies dropout right
+        Padded rows are forced to zero and dropout at `rate` applies right
         after lookup (`tensor.embed_rows`).
         """
         ctx_dim = self.cfg.effective_contextual_dim
@@ -120,7 +120,6 @@ class MatchModel:
                 if sid not in fetched:
                     fetched[sid] = self.provider.vectors(sid, toks)
             contexts = [fetched[sid] for sid in sids]
-        rate = self.cfg.dropout if train else 0.0
         return T.embed_rows(self.params["embed.static"], ids, mask, contexts, ctx_dim, rate, rng)
 
     def forward_pair(self, batch, train=False, rng=None):
@@ -131,8 +130,9 @@ class MatchModel:
         """
         cfg = self.cfg
         items = batch.items
-        x = self.embed_sentence(batch.ids_a, [pair.tokens_a for pair in items], [pair.sid_a for pair in items], batch.mask_a, train, rng)
-        y = self.embed_sentence(batch.ids_b, [pair.tokens_b for pair in items], [pair.sid_b for pair in items], batch.mask_b, train, rng)
+        rate = cfg.dropout if train else 0.0
+        x = self.embed_sentence(batch.ids_a, [pair.tokens_a for pair in items], [pair.sid_a for pair in items], batch.mask_a, rate, rng)
+        y = self.embed_sentence(batch.ids_b, [pair.tokens_b for pair in items], [pair.sid_b for pair in items], batch.mask_b, rate, rng)
         h, p = encode_pair(
             x,
             y,
@@ -141,9 +141,8 @@ class MatchModel:
             self.params,
             no_alignment=cfg.no_alignment,
             no_fusion=cfg.no_fusion,
-            use_self_attention=not cfg.no_self_attention,
-            train=train,
-            dropout_rate=cfg.dropout,
+            no_self_attention=cfg.no_self_attention,
+            rate=rate,
             rng=rng,
         )
         z = interact(

@@ -558,13 +558,6 @@ def mul(a, b):
     return _node(a.data * b.data, (a, b), vjp)
 
 
-def add_const(x, c):
-    def vjp(g):
-        _accumulate(x, g)
-
-    return _node(x.data + c, (x,), vjp)
-
-
 def mul_const(x, c):
     def vjp(g):
         _accumulate(x, g * c)

@@ -47,8 +47,7 @@ class EvalReport:
 class TrainResult:
     """What `train` returns: the history, the best epoch and its checkpoint, and the model.
 
-    When the best epoch is the last one trained (or no epoch improved),
-    `checkpoint.params` wrap the model's own parameter arrays rather than
+    When the best epoch is the last one trained, `checkpoint.params` wrap the model's own parameter arrays rather than
     copies: a later in-place update of `model` shows in the checkpoint.
     Otherwise the checkpoint holds a copy taken before the next Adam step.
     """
@@ -187,10 +186,13 @@ def clip_gradients(params, max_norm):
 
 
 def _max_abs_grad(params):
+    """The largest |gradient| entry; a pending row pair is read as it is, not flushed."""
     worst = 0.0
     for p in params.values():
-        if p.grad is not None:
-            worst = max(worst, float(np.max(np.abs(p.grad))))
+        record = T._grad_rows(p)
+        g = record[1] if record is not None else p.grad
+        if g is not None:
+            worst = max(worst, float(np.max(np.abs(g), initial=0.0)))
     return worst
 
 
@@ -294,9 +296,9 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
             if cfg.early_stop_patience > 0 and since_best >= cfg.early_stop_patience:
                 break
     if best_ck is None:
-        # the best epoch's weights (or, if no epoch improved, the last) are the live ones; no step follows
+        # epoch 0 improves on -inf, so the best epoch's weights are the live ones; no step follows
         shared = {name: T.Tensor(t.data, requires_grad=t.requires_grad) for name, t in params.items()}
-        best_ck = Checkpoint(params=shared, epoch=best_epoch if best_is_live else cfg.epochs - 1, config=cfg, vocab=vocab)
+        best_ck = Checkpoint(params=shared, epoch=best_epoch, config=cfg, vocab=vocab)
     return TrainResult(history, best_epoch, best_metric, best_ck, model)
 
 

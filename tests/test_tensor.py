@@ -161,7 +161,6 @@ def _op_cases(rng):
         ("add", lambda ins: T.add(ins[0], ins[1]), [a33, T.parameter(rng.normal(size=(3, 3)))]),
         ("sub", lambda ins: T.sub(ins[0], ins[1]), [a33, T.parameter(rng.normal(size=(3, 3)))]),
         ("mul", lambda ins: T.mul(ins[0], ins[1]), [a33, T.parameter(rng.normal(size=(3, 3)))]),
-        ("add_const", lambda ins: T.add_const(ins[0], 2.5), [a33]),
         ("mul_const", lambda ins: T.mul_const(ins[0], -1.7), [a33]),
         ("rsub_const", lambda ins: T.rsub_const(1.0, ins[0]), [a33]),
         ("concat", _weighted(lambda ins: T.concat(ins, axis=1)), [a33, b34]),
@@ -380,7 +379,7 @@ class TestBackward:
         x = T.parameter(np.ones(4))
         h = x
         for _ in range(300):
-            h = T.add_const(T.mul_const(h, 0.999), 0.001)
+            h = T.rsub_const(0.001, T.mul_const(h, -0.999))
         T.sum_all(h).backward()
         assert x.grad is not None
 

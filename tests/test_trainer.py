@@ -388,6 +388,27 @@ class TestTraining:
         with pytest.raises(NumericalError, match=r"epoch 0 batch 0.*max\|grad\|"):
             train(_tiny_cfg(epochs=1), pairs)
 
+    def test_nan_loss_message_reads_the_table_pair_without_flushing_it(self, monkeypatch):
+        built, init_params = [], trainer_mod.init_params
+
+        def kept_init_params(*args, **kwargs):
+            built.append(init_params(*args, **kwargs))
+            return built[-1]
+
+        def nan_loss(model, batch, train, rng):
+            # a NaN constant added to the loss leaves every gradient finite
+            return T.add(trainer_mod.cross_entropy(model.forward_pair(batch, train=train, rng=rng), batch.labels), T.constant(np.nan))
+
+        monkeypatch.setattr(trainer_mod, "init_params", kept_init_params)
+        monkeypatch.setattr(trainer_mod, "_classification_loss", nan_loss)
+        with pytest.raises(NumericalError, match=r"max\|grad\|=") as info:
+            train(_tiny_cfg(epochs=1), _classify_pairs(12, seed=5))
+        params = built[0]
+        assert T._grad_rows(params["embed.static"]) is not None, "the message leaves the table's gradient a row pair"
+        dense = max(float(np.max(np.abs(p.grad))) for p in params.values() if p.grad is not None)
+        assert 0.0 < dense < np.inf
+        assert float(str(info.value).rpartition("max|grad|=")[2]) == dense
+
     def test_ranking_split_is_tokenized_once_per_run(self, spy):
         import sentmatch.data as data_mod
         import sentmatch.trainer as trainer_mod
