@@ -24,9 +24,7 @@ replay reaches that node, but leaves a leaf's pair in place: a lookup
 into a large table therefore costs work in proportion to the rows it
 touched, not to the table. Reading a leaf's `grad` still gives a plain
 dense ndarray of its shape, built from the pair on first read; the
-optimizer instead takes the pair from `_grad_rows`, and
-`rows_sum_squares` gives its contribution to the global gradient norm
-bit for bit.
+optimizer and the gradient clip instead take the pair from `_grad_rows`.
 
 The engine is deliberately small: arrays of at most 3 dimensions, no
 broadcasting (equal shapes are enforced where the contract says so),
@@ -44,8 +42,6 @@ global tape.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -209,93 +205,6 @@ def _grad_rows(t):
     pending rows (its gradient, if any, is dense).
     """
     return t._rows
-
-
-_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE: longest run summed without splitting
-
-
-@functools.lru_cache(maxsize=8)
-def _pairwise_tree(n):
-    """The tree in which numpy's `np.sum` adds n contiguous float64 values.
-
-    numpy sums a run of more than 128 values as the sum of its first
-    `n2 = n//2 - (n//2) % 8` values plus the rest, recursively. Nodes are
-    numbered by level: level 0 is the whole run, and level k+1 holds the
-    two halves, left then right, of each level-k node that splits, in
-    order. `splits[k]` are the level-k numbers of the nodes that split,
-    so nodes 2i and 2i+1 of level k+1 are the halves of `splits[k][i]`.
-    Returns `splits` and, sorted by position, the leaves' first
-    position, length, level and number.
-    """
-    starts, lens = np.zeros(1, dtype=np.intp), np.array([n], dtype=np.intp)
-    splits, leaves = [], []
-    while starts.size:
-        split = lens > _PAIRWISE_BLOCK
-        leaf = np.flatnonzero(~split)
-        leaves.append((starts[leaf], lens[leaf], np.full(leaf.size, len(splits)), leaf))
-        splits.append(np.flatnonzero(split))
-        s, l = starts[split], lens[split]
-        half = l // 2 - (l // 2) % 8
-        starts = np.stack([s, s + half], axis=1).reshape(-1)
-        lens = np.stack([half, l - half], axis=1).reshape(-1)
-    start, length, level, index = (np.concatenate(parts) for parts in zip(*leaves))
-    order = np.argsort(start)
-    leaves = [start[order], length[order], level[order], index[order]]
-    for arr in splits + leaves:
-        arr.flags.writeable = False  # cached: every caller shares these arrays
-    return splits, *leaves
-
-
-def rows_sum_squares(shape, rows, values):
-    """`float(np.sum(g * g))` for the (V, d) array g that is zero outside `rows`.
-
-    `rows` are sorted and unique and `values` are their rows of g. The
-    result equals the dense sum bit for bit at a cost in proportion to
-    the touched rows: numpy adds the flattened g in a fixed pairwise
-    tree (`_pairwise_tree`), a leaf with no touched value sums to exactly
-    +0.0, and adding +0.0 to a sum of squares leaves it unchanged, so
-    only the leaves that overlap touched rows are summed and then
-    combined in the tree's order.
-    """
-    n_rows, d = shape
-    if rows.size == 0 or d == 0:
-        return 0.0
-    splits, leaf_start, leaf_len, leaf_level, leaf_index = _pairwise_tree(n_rows * d)
-    # leaves overlapping each row's elements [row*d, row*d + d)
-    first = np.searchsorted(leaf_start, rows * d, "right") - 1
-    last = np.searchsorted(leaf_start, rows * d + (d - 1), "right") - 1
-    count = last - first + 1
-    ramp = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    leaves = np.unique(np.repeat(first, count) + ramp)
-    # the touched leaves back to back, squares in place and zeros elsewhere;
-    # a row's leaves are consecutive, so its elements stay contiguous
-    lens = leaf_len[leaves]
-    offsets = np.cumsum(lens) - lens
-    packed = np.zeros(int(lens.sum()))
-    row_at = offsets[np.searchsorted(leaves, first)] + (rows * d - leaf_start[first])
-    packed[row_at[:, None] + np.arange(d)] = values * values
-    sums = np.empty(leaves.size)
-    for n in np.unique(lens).tolist():
-        sel = np.flatnonzero(lens == n)
-        # a leaf is one run of at most 128 values, which numpy sums alike in a row or in the flat array
-        sums[sel] = packed[offsets[sel][:, None] + np.arange(n)].sum(axis=1)
-    # fold bottom-up; a node missing a child takes the other's sum unchanged
-    levels, indices = leaf_level[leaves], leaf_index[leaves]
-    idx, val = np.empty(0, dtype=np.intp), np.empty(0)
-    for level in range(len(splits) - 1, -1, -1):
-        if idx.size:
-            parent = idx // 2
-            pair = np.flatnonzero(parent[1:] == parent[:-1])  # left child at i, right at i + 1
-            val[pair] = val[pair] + val[pair + 1]
-            keep = np.ones(idx.size, dtype=bool)
-            keep[pair + 1] = False
-            idx, val = splits[level][parent[keep]], val[keep]
-        here = levels == level
-        idx = np.concatenate([idx, indices[here]])
-        val = np.concatenate([val, sums[here]])
-        order = np.argsort(idx)
-        idx, val = idx[order], val[order]
-    return float(val[0])
 
 
 def constant(data):

@@ -12,6 +12,7 @@ the loss history and the resulting checkpoint bitwise.
 from __future__ import annotations
 
 import contextvars
+import math
 import mmap
 import os
 from dataclasses import dataclass, field
@@ -156,23 +157,33 @@ def _grad_of_rows(p, rows):
     return g
 
 
-def clip_gradients(params, max_norm):
-    """Scale all gradients so their joint norm is at most `max_norm`.
+def _stored_grad(p):
+    """`p`'s gradient as it is held: a pending row pair's values, the dense gradient, or None."""
+    record = T._grad_rows(p)
+    return record[1] if record is not None else p.grad
 
-    The norm is the one the dense gradients give bit for bit. A pending
-    row-sparse gradient (`T._grad_rows`) is squared and scaled on its
-    touched rows only, in place, so it stays a row pair whichever way
-    Adam then updates the tensor; every other gradient is taken dense.
+
+def clip_gradients(params, max_norm):
+    """Scale all gradients so their joint norm is at most `max_norm`; returns the norm before clipping.
+
+    The squared norm is the exactly rounded sum (`math.fsum`) of every
+    gradient row's sum of squares, `np.square(g).sum(axis=-1)`. A zero
+    row adds exactly nothing to it, so a pending row-sparse gradient
+    (`T._grad_rows`), read on its touched rows only, gives the bits of
+    its dense flush. The pair is scaled in place, so it stays a row pair
+    whichever way Adam then updates the tensor. Finite row sums whose
+    total passes the largest float give a norm of inf, which scales
+    every gradient to zero.
     """
-    total = 0.0
+    row_sums = []
     for name in sorted(params):
-        p = params[name]
-        record = T._grad_rows(p)
-        if record is not None:
-            total += T.rows_sum_squares(p.shape, *record)
-        elif p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    norm = float(np.sqrt(total))
+        g = _stored_grad(params[name])
+        if g is not None:
+            row_sums.extend(np.square(g).sum(axis=-1).ravel().tolist())
+    try:
+        norm = math.sqrt(math.fsum(row_sums))
+    except OverflowError:  # fsum raises where a float sum would reach inf
+        norm = math.inf
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for name in sorted(params):
@@ -189,8 +200,7 @@ def _max_abs_grad(params):
     """The largest |gradient| entry; a pending row pair is read as it is, not flushed."""
     worst = 0.0
     for p in params.values():
-        record = T._grad_rows(p)
-        g = record[1] if record is not None else p.grad
+        g = _stored_grad(p)
         if g is not None:
             worst = max(worst, float(np.max(np.abs(g), initial=0.0)))
     return worst

@@ -261,13 +261,20 @@ def adam_dense(x, m, v, g, t, lr, beta1, beta2, eps):
 
 
 def clip_gradients_dense(params, max_norm):
-    """The engine's original global-norm clip over dense gradients."""
-    total = 0.0
+    """Global-norm clip over dense gradients, every row included, zero rows too.
+
+    The squared norm is the exactly rounded sum of every row's sum of
+    squares; a total past the largest float is inf.
+    """
+    row_sums = []
     for name in sorted(params):
         g = params[name].grad
         if g is not None:
-            total += float(np.sum(g * g))
-    norm = float(np.sqrt(total))
+            row_sums.extend(np.square(g).sum(axis=-1).ravel().tolist())
+    try:
+        norm = math.sqrt(math.fsum(row_sums))
+    except OverflowError:
+        norm = math.inf
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for name in sorted(params):

@@ -564,64 +564,11 @@ class TestEmbedRows:
         assert held < 1.25 * out.data.nbytes, f"the node holds {held / out.data.nbytes:.2f} outputs"
 
 
-def _bits(x):
-    return np.float64(x).tobytes()
-
-
 # magnitudes from 1e-150 to 1e150 with both signs, and both zeros
 _SPREAD = st.one_of(
     st.sampled_from([0.0, -0.0]),
     st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-150, 150)),
 )
-
-
-@st.composite
-def _row_sparse_gradients(draw):
-    """A (V, d) table shape, sorted unique touched rows and their values."""
-    d = draw(st.one_of(st.integers(1, 7), st.integers(8, 40), st.sampled_from([8, 16, 100])))
-    n_rows = draw(st.one_of(st.just(1), st.integers(1, 128 // d + 1), st.integers(2, 300)))
-    # rows holding the first and the last value and both sides of every numpy summation leaf boundary
-    leaf_start = T._pairwise_tree(n_rows * d)[1].tolist()
-    edges = sorted({0, n_rows - 1} | {s // d for s in leaf_start} | {(s - 1) // d for s in leaf_start[1:]})
-    picks = st.one_of(st.sampled_from(edges), st.integers(0, n_rows - 1))
-    rows = np.array(sorted(draw(st.sets(picks, min_size=1, max_size=min(n_rows, 24)))), dtype=np.intp)
-    # values of one magnitude round differently under another summation order
-    elements = draw(st.sampled_from([_SPREAD, st.floats(-10.0, 10.0)]))
-    values = draw(hnp.arrays(np.float64, (rows.size, d), elements=elements))
-    return (n_rows, d), rows, values
-
-
-class TestRowSumSquares:
-    @settings(max_examples=100)
-    @given(_row_sparse_gradients())
-    def test_bitwise_the_dense_sum(self, case):
-        shape, rows, values = case
-        g = np.zeros(shape)
-        g[rows] = values
-        assert _bits(T.rows_sum_squares(shape, rows, values)) == _bits(float(np.sum(g * g)))
-
-    @pytest.mark.parametrize("d", [1, 3, 7, 8, 9, 13, 16, 33])
-    def test_bitwise_the_dense_sum_on_small_tables(self, rng, d):
-        for n_rows in range(1, 40):
-            rows = np.flatnonzero(rng.random(n_rows) < 0.6)
-            rows = np.union1d(rows, [n_rows - 1])
-            values = rng.normal(size=(rows.size, d))
-            g = np.zeros((n_rows, d))
-            g[rows] = values
-            assert _bits(T.rows_sum_squares(g.shape, rows, values)) == _bits(float(np.sum(g * g))), (n_rows, d)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_bitwise_the_dense_sum_at_paper_widths(self, seed):
-        rng = np.random.default_rng(seed)
-        shape = (40400, 300)
-        rows = np.unique(np.concatenate([[0, shape[0] - 1], rng.integers(0, shape[0], size=600)]))
-        values = rng.normal(size=(rows.size, shape[1])) * 10.0 ** rng.uniform(-100, 100, size=(rows.size, 1))
-        g = np.zeros(shape)
-        g[rows] = values
-        assert _bits(T.rows_sum_squares(shape, rows, values)) == _bits(float(np.sum(g * g)))
-
-    def test_no_rows_sum_to_zero(self):
-        assert _bits(T.rows_sum_squares((5, 3), np.empty(0, dtype=np.intp), np.empty((0, 3)))) == _bits(0.0)
 
 
 @st.composite

@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sentmatch import tensor as T
 from sentmatch.checkpoint import load_checkpoint, save_checkpoint
@@ -18,7 +21,7 @@ import sentmatch.trainer as trainer_mod
 from sentmatch.trainer import _snapshot, adam_step, clip_gradients, evaluate, evaluate_checkpoint, run_ablations, train
 
 import oracles
-from test_tensor import dense_take_rows
+from test_tensor import _SPREAD, dense_take_rows
 
 LABELS = {"entailment": 0, "contradiction": 1, "neutral": 2}
 
@@ -156,6 +159,73 @@ class TestAdam:
             adam_step({"embed.static": table}, {"embed.static": np.zeros((10, 2))}, {"embed.static": np.zeros((10, 2))}, t=1, cfg=cfg, live={})
 
 
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def _clip_cases(draw):
+    """A row pair on a (V, d) table, the dense gradient of a second tensor, and a clip norm."""
+    d = draw(st.one_of(st.integers(1, 8), st.integers(1, 300)))
+    n_rows = draw(st.one_of(st.integers(1, 40), st.integers(1, 40400)))
+    rows = np.array(sorted(draw(st.sets(st.integers(0, n_rows - 1), max_size=min(n_rows, 24)))), dtype=np.intp)
+    elements = draw(st.sampled_from([_SPREAD, st.floats(-10.0, 10.0)]))
+    values = draw(hnp.arrays(np.float64, (rows.size, d), elements=elements))
+    dense = draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6), elements=elements))
+    max_norm = draw(st.sampled_from([0.0, 1e-3, 1.0, 1e300]))
+    return (n_rows, d), rows, values, dense, max_norm
+
+
+def _pair_and_flush(shape, rows, values, dense):
+    """Two parameter dicts holding the same gradients: the table's as a row pair, and flushed dense."""
+    pair = {"table": T.parameter(np.zeros(shape)), "w": T.parameter(np.zeros(dense.shape))}
+    T._accumulate_rows(pair["table"], rows, values.copy())
+    flushed = {"table": T.parameter(np.zeros(shape)), "w": T.parameter(np.zeros(dense.shape))}
+    flushed["table"].grad = np.zeros(shape)
+    flushed["table"].grad[rows] = values
+    for params in (pair, flushed):
+        params["w"].grad = dense.copy()
+    return pair, flushed
+
+
+class TestClipNorm:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=50)
+    @given(_clip_cases())
+    def test_a_row_pair_clips_as_its_dense_flush(self, case):
+        shape, rows, values, dense, max_norm = case
+        pair, flushed = _pair_and_flush(shape, rows, values, dense)
+        float_sum = np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in flushed.values()))
+        norm = clip_gradients(pair, max_norm)
+        assert T._grad_rows(pair["table"]) is not None, "the clip keeps the table's gradient a row pair"
+        assert _bits(norm) == _bits(clip_gradients(flushed, max_norm))
+        for name in pair:
+            assert pair[name].grad.tobytes() == flushed[name].grad.tobytes(), name
+        if np.isfinite(float_sum) and float_sum > 1e-150:  # the float sum of squares is finite and normal
+            assert abs(norm - float_sum) <= 1e-14 * float_sum
+
+    def test_zero_rows_and_zero_tensors_leave_the_norm(self, rng):
+        values = rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-20, 20, size=(5, 1))
+        bare = {"table": T.parameter(np.zeros((50, 7)))}
+        T._accumulate_rows(bare["table"], np.array([3, 8, 20, 21, 40]), values)
+        padded_values = np.zeros((8, 7))
+        padded_values[[0, 2, 4, 5, 7]] = values
+        padded_values[1, 3] = -0.0
+        padded = {"table": T.parameter(np.zeros((50, 7))), "zero": T.parameter(np.zeros((4, 3)))}
+        T._accumulate_rows(padded["table"], np.array([3, 5, 8, 11, 20, 21, 30, 40]), padded_values)
+        padded["zero"].grad = np.array([[0.0, -0.0, 0.0]] * 4)
+        assert _bits(clip_gradients(bare, 0.0)) == _bits(clip_gradients(padded, 0.0))
+
+    def test_finite_row_sums_past_the_largest_float_give_inf(self):
+        big = np.sqrt(np.finfo(np.float64).max) * 0.8  # each row's sum of squares is 0.64 of the largest float
+        pair, flushed = _pair_and_flush((10, 1), np.array([2, 7]), np.full((2, 1), big), np.array([[big, 1.0]]))
+        for params in (pair, flushed):
+            assert clip_gradients(params, 5.0) == np.inf
+            assert not params["table"].grad.any() and not params["w"].grad.any(), "every gradient is scaled to zero"
+        _, flushed = _pair_and_flush((10, 1), np.array([2, 7]), np.full((2, 1), big), np.array([[big, 1.0]]))
+        assert oracles.clip_gradients_dense(flushed, 5.0) == np.inf
+
+
 # one step each: (ids of two lookups into "a", ids into "b", whether "b" also
 # takes a dense gradient, clip norm); rows enter, repeat within and across
 # lookups, and go quiet, and both tables have quiet steps
@@ -284,8 +354,7 @@ class TestRowSparseAdam:
         finally:
             tracemalloc.stop()
         assert norm > cfg.grad_clip, "the clip fires"
-        # the touched rows' gradient, moments and scratch, and the norm's summation
-        # tree for this table shape; never a table-sized array
+        # the touched rows' gradient, moments and scratch; never a table-sized array
         assert peak < 0.5 * table.data.nbytes, f"the step peaked at {peak / table.data.nbytes:.2f} table sizes"
 
 
