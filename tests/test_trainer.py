@@ -218,12 +218,12 @@ class TestClipNorm:
 
     def test_finite_row_sums_past_the_largest_float_give_inf(self):
         big = np.sqrt(np.finfo(np.float64).max) * 0.8  # each row's sum of squares is 0.64 of the largest float
-        pair, flushed = _pair_and_flush((10, 1), np.array([2, 7]), np.full((2, 1), big), np.array([[big, 1.0]]))
-        for params in (pair, flushed):
-            assert clip_gradients(params, 5.0) == np.inf
+        case = ((10, 1), np.array([2, 7]), np.full((2, 1), big), np.array([[big, 1.0]]))
+        pair, flushed = _pair_and_flush(*case)
+        reference = _pair_and_flush(*case)[1]
+        for clip, params in ((clip_gradients, pair), (clip_gradients, flushed), (oracles.clip_gradients_dense, reference)):
+            assert clip(params, 5.0) == np.inf
             assert not params["table"].grad.any() and not params["w"].grad.any(), "every gradient is scaled to zero"
-        _, flushed = _pair_and_flush((10, 1), np.array([2, 7]), np.full((2, 1), big), np.array([[big, 1.0]]))
-        assert oracles.clip_gradients_dense(flushed, 5.0) == np.inf
 
 
 # one step each: (ids of two lookups into "a", ids into "b", whether "b" also
