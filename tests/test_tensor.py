@@ -216,6 +216,12 @@ def _batched_op_cases(rng):
             _weighted(lambda ins: T.embed_rows(ins[0], EMBED_IDS, EMBED_MASK, EMBED_CONTEXTS, 2, 0.3, np.random.default_rng(7))),
             [T.parameter(rng.normal(size=(5, 3)))],
         ),
+        # the fusion layer's features: one input reaches the concat along three paths
+        (
+            "concat_fusion_batched",
+            _weighted(lambda ins: T.concat([ins[0], ins[1], T.mul(ins[0], ins[1]), T.sub(ins[0], ins[1])], axis=-1)),
+            [x, _padded_batch(rng, (2, 4, 3), [4, 2])],
+        ),
     ]
 
 

@@ -204,6 +204,34 @@ class TestClipNorm:
         if np.isfinite(float_sum) and float_sum > 1e-150:  # the float sum of squares is finite and normal
             assert abs(norm - float_sum) <= 1e-14 * float_sum
 
+    @pytest.mark.parametrize("d", [1, 3, 7, 8, 9, 13, 16, 33])
+    def test_a_row_pair_clips_as_its_dense_flush_on_small_tables(self, rng, d):
+        for n_rows in range(1, 40):
+            rows = np.union1d(np.flatnonzero(rng.random(n_rows) < 0.6), [n_rows - 1])
+            pair, flushed = _pair_and_flush((n_rows, d), rows, rng.normal(size=(rows.size, d)), rng.normal(size=(2, d)))
+            norm = clip_gradients(pair, 1.0)
+            assert _bits(norm) == _bits(clip_gradients(flushed, 1.0)), (n_rows, d)
+            for name in pair:
+                assert pair[name].grad.tobytes() == flushed[name].grad.tobytes(), (n_rows, d, name)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_row_pair_clips_as_its_dense_flush_at_paper_widths(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (40400, 300)
+        rows = np.unique(np.concatenate([[0, shape[0] - 1], rng.integers(0, shape[0], size=600)]))
+        values = rng.normal(size=(rows.size, shape[1])) * 10.0 ** rng.uniform(-100, 100, size=(rows.size, 1))
+        pair, flushed = _pair_and_flush(shape, rows, values, rng.normal(size=(3, 5)))
+        float_sum = np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in flushed.values()))
+        norm = clip_gradients(pair, 5.0)
+        assert _bits(norm) == _bits(clip_gradients(flushed, 5.0))
+        assert abs(norm - float_sum) <= 1e-14 * float_sum
+        assert T._grad_rows(pair["table"])[1].tobytes() == flushed["table"].grad[rows].tobytes()
+
+    def test_no_rows_clip_to_zero(self):
+        pair, flushed = _pair_and_flush((5, 3), np.empty(0, dtype=np.intp), np.empty((0, 3)), np.zeros((2, 3)))
+        for params in (pair, flushed):
+            assert _bits(clip_gradients(params, 1.0)) == _bits(0.0)
+
     def test_zero_rows_and_zero_tensors_leave_the_norm(self, rng):
         values = rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-20, 20, size=(5, 1))
         bare = {"table": T.parameter(np.zeros((50, 7)))}
