@@ -1,20 +1,28 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every value in the model (activations, weights, losses) is a `Tensor`
-wrapping a numpy float64 array. Operations record their inputs and a
-vector-Jacobian closure on the output node; `Tensor.backward()` replays
-the recorded graph once, in reverse topological order, accumulating
-gradients into every node that requires them. Only leaves keep their
-gradients afterwards: an interior node's gradient is released as soon
-as its closure has consumed it, so backward holds the gradients of the
-frontier it is working on, not one per activation. The graph itself
-(parents and closures) stays, so backward can be replayed.
+wrapping a numpy float64 array. The graph is kept apart from the
+values: a tensor that backward may visit has a record (`_Record`)
+holding its parents' records, its vector-Jacobian closure, its pending
+gradient, its shape and `requires_grad`, but not its value. A closure
+keeps exactly the arrays it reads (its operands for `matmul` and `mul`,
+its own output for `softmax`, `relu` or `tanh`, nothing for `add` or
+`concat`), so an activation no vjp reads is freed as soon as the model
+code drops its tensor, not when the step's graph goes.
+`Tensor.backward()` replays the recorded graph once, in reverse
+topological order, accumulating gradients into every record that
+requires them. Only leaves keep their gradients afterwards: an interior
+record's gradient is released as soon as its closure has consumed it,
+so backward holds the gradients of the frontier it is working on, not
+one per activation. The records and closures stay, so backward can be
+replayed.
 
-A node none of whose inputs needs a gradient is graph-free: it keeps no
-parents and no closure, since backward would never visit them. A
-forward over constant parameters (as evaluation runs it) therefore
-builds no graph, and each activation is freed as soon as the forward
-stops using it, as in plain numpy code.
+A node none of whose inputs needs a gradient is graph-free: it gets no
+record, no parents and no closure, since backward would never visit
+it. A forward over constant parameters (as evaluation runs it)
+therefore builds no graph, and each activation is freed as soon as the
+forward stops using it, as in plain numpy code. A constant gets a
+record (with no gradient) when a graph first names it as a parent.
 
 Row gathers (`take_rows`, `embed_rows`) accumulate row-sparse: a
 tensor's pending gradient is one pair, its sorted unique touched rows
@@ -36,7 +44,7 @@ so the same op takes one sentence pair's 2-d activations or a batch's
 3-d ones with a leading batch axis; a shared 2-d weight is applied to
 every item of the batch, and each item's product is the one its 2-d
 form computes. Convolution kernels are the
-other 3-d arrays (width, d_in, d_out). Tensors are immutable values once
+other 3-d arrays (width, d_in, d_out). Tensor values are immutable once
 built; separate graphs can live on separate threads because there is no
 global tape.
 """
@@ -61,27 +69,59 @@ def _asarray(data):
     return arr
 
 
+class _Record:
+    """A tensor's place in the graph: everything backward reads of it but its value."""
+
+    __slots__ = ("shape", "requires_grad", "_parents", "_vjp", "_grad", "_rows")
+
+    def __init__(self, shape, requires_grad, parents=(), vjp=None):
+        self.shape = shape
+        self.requires_grad = requires_grad
+        self._parents = parents  # the parents' records
+        self._vjp = vjp  # g -> None, accumulating into the parents' records
+        self._grad = None
+        # pending row-sparse gradient: None or one (rows, values) pair (see _accumulate_rows)
+        self._rows = None
+
+
+def _from_record(name, default):
+    """A Tensor attribute read from, and written to, its record; `default` while it has none."""
+
+    def get(self):
+        return default if self._record is None else getattr(self._record, name)
+
+    def put(self, value):
+        setattr(_record_of(self), name, value)
+
+    return property(get, put)
+
+
 class Tensor:
-    """A node in the computation graph.
+    """A value, and through `_record` its node in the computation graph.
 
     `data` is the forward value, `grad` the accumulated gradient (same
     shape, or None before backward). Leaf tensors are created with
     `requires_grad=True` for trainable weights and False for constants
     (masks, labels, precomputed vectors); interior nodes inherit the flag
     from their parents. After backward only a leaf's `grad` is set; an
-    interior node's is None again.
+    interior node's is None again. The graph attributes below read the
+    record, so the accumulation helpers take a tensor as well as a record.
     """
 
-    __slots__ = ("data", "_grad", "requires_grad", "_parents", "_vjp", "_rows")
+    __slots__ = ("data", "_record")
+
+    _grad = _from_record("_grad", None)
+    _rows = _from_record("_rows", None)
+    _parents = _from_record("_parents", ())
+    _vjp = _from_record("_vjp", None)
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None):
         self.data = _asarray(data)
-        self._grad = None
-        # pending row-sparse gradient: None or one (rows, values) pair (see _accumulate_rows)
-        self._rows = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._vjp = _vjp
+        self._record = _Record(self.data.shape, True, _parents, _vjp) if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self._record is not None and self._record.requires_grad
 
     @property
     def shape(self):
@@ -113,19 +153,20 @@ class Tensor:
     def backward(self):
         """Propagate gradients from this scalar through the graph.
 
-        Visits each recorded node exactly once, children before parents.
-        Gradients of every node reachable through grad-requiring edges are
-        reset first, so repeated backward calls on disjoint graphs do not
-        leak accumulation across calls. An interior node's gradient is
-        dropped right after its vjp has fired; leaves keep theirs, row
+        Visits each record exactly once, children before parents.
+        Gradients of every record reachable through grad-requiring edges
+        are reset first, so repeated backward calls on disjoint graphs do
+        not leak accumulation across calls. An interior record's gradient
+        is dropped right after its vjp has fired; leaves keep theirs, row
         pairs included (see the module docstring). The graph is kept,
         so calling backward again gives the same leaf gradients.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
+        root = _record_of(self)
         topo = []
-        seen = {id(self)}
-        stack = [(self, iter(self._parents))]
+        seen = {id(root)}
+        stack = [(root, iter(root._parents))]
         while stack:
             node, parents = stack[-1]
             advanced = False
@@ -141,7 +182,7 @@ class Tensor:
         for node in topo:
             node._grad = None
             node._rows = None
-        self._grad = np.ones_like(self.data)
+        root._grad = np.ones(root.shape)
         for node in reversed(topo):
             if node._vjp is not None:
                 # every consumer of `node` has fired by now, so its row pair is complete
@@ -154,8 +195,25 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+def _record_of(t):
+    """`t`'s record; a tensor that needs no gradient gets one (without a gradient) on first call.
+
+    Graphs on two threads may race to make a constant's record and each
+    keep its own; that is harmless, since such a record never carries a
+    gradient.
+    """
+    if t._record is None:
+        t._record = _Record(t.data.shape, False)
+    return t._record
+
+
+def _grad_record(t):
+    """Where a vjp sends `t`'s gradient: its record, or None when `t` needs none."""
+    return t._record if t.requires_grad else None
+
+
 def _accumulate(t, g):
-    if t.requires_grad:
+    if t is not None and t.requires_grad:
         if t._rows is not None:
             _flush_rows(t)
         t._grad = g if t._grad is None else t._grad + g
@@ -218,11 +276,12 @@ def parameter(data):
 def _node(data, parents, vjp):
     """An op's output: a graph node if some input needs a gradient, else graph-free.
 
-    A graph-free node keeps neither `parents` nor `vjp`, so neither it
-    nor the closure's captured arrays hold its inputs alive.
+    A graph node's record names every parent's record, constants
+    included; a graph-free node has no record, so its closure, and the
+    arrays it captured, are dropped here.
     """
     if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
+        return Tensor(data, requires_grad=True, _parents=tuple(_record_of(p) for p in parents), _vjp=vjp)
     return Tensor(data)
 
 
@@ -250,21 +309,22 @@ def matmul(a, b):
         raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
     shared = b.ndim == 2
     k, m = b.shape[-2:]
-    out_data = a.data @ b.data
+    a_data, b_data, ra, rb = a.data, b.data, _grad_record(a), _grad_record(b)
+    out_data = a_data @ b_data
 
     def vjp(g):
         # a constant operand (a mask, a precomputed vector) gets no product
         if shared:
             g_rows = g.reshape(-1, m)
-            if a.requires_grad:
-                _accumulate(a, (g_rows @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                _accumulate(b, a.data.reshape(-1, k).T @ g_rows)
+            if ra is not None:
+                _accumulate(ra, (g_rows @ b_data.T).reshape(ra.shape))
+            if rb is not None:
+                _accumulate(rb, a_data.reshape(-1, k).T @ g_rows)
         else:
-            if a.requires_grad:
-                _accumulate(a, g @ _swap(b.data))
-            if b.requires_grad:
-                _accumulate(b, _swap(a.data) @ g)
+            if ra is not None:
+                _accumulate(ra, g @ _swap(b_data))
+            if rb is not None:
+                _accumulate(rb, _swap(a_data) @ g)
 
     return _node(out_data, (a, b), vjp)
 
@@ -273,18 +333,19 @@ def transpose(a):
     """Swap the last two axes."""
     if a.ndim < 2:
         raise ShapeError(f"transpose expects at least 2-d, got {a.shape}")
+    ra = _grad_record(a)
 
     def vjp(g):
-        _accumulate(a, _swap(g))
+        _accumulate(ra, _swap(g))
 
     return _node(_swap(a.data), (a,), vjp)
 
 
 def reshape(a, shape):
-    old = a.shape
+    old, ra = a.shape, _grad_record(a)
 
     def vjp(g):
-        _accumulate(a, g.reshape(old))
+        _accumulate(ra, g.reshape(old))
 
     return _node(a.data.reshape(shape), (a,), vjp)
 
@@ -307,24 +368,25 @@ def conv1d(x, kernels):
         raise ShapeError(f"conv1d channel mismatch: input {x.shape} vs kernels {kernels.shape}")
     *lead, n, _ = x.shape
     pad = w // 2
+    k_data, rx, rk = kernels.data, _grad_record(x), _grad_record(kernels)
     xp = np.zeros((*lead, n + 2 * pad, d_in))
     xp[..., pad:pad + n, :] = x.data
     out_data = np.zeros((*lead, n, d_out))
     for dt in range(w):
-        out_data += xp[..., dt:dt + n, :] @ kernels.data[dt]
+        out_data += xp[..., dt:dt + n, :] @ k_data[dt]
 
     def vjp(g):
-        if x.requires_grad:
+        if rx is not None:
             gxp = np.zeros_like(xp)
             for dt in range(w):
-                gxp[..., dt:dt + n, :] += g @ kernels.data[dt].T
-            _accumulate(x, gxp[..., pad:pad + n, :])
-        if kernels.requires_grad:
+                gxp[..., dt:dt + n, :] += g @ k_data[dt].T
+            _accumulate(rx, gxp[..., pad:pad + n, :])
+        if rk is not None:
             g_rows = g.reshape(-1, d_out)
-            gk = np.empty_like(kernels.data)
+            gk = np.empty_like(k_data)
             for dt in range(w):
                 gk[dt] = xp[..., dt:dt + n, :].reshape(-1, d_in).T @ g_rows
-            _accumulate(kernels, gk)
+            _accumulate(rk, gk)
 
     return _node(out_data, (x, kernels), vjp)
 
@@ -358,38 +420,40 @@ def softmax(x, axis=-1, mask=None):
     s = np.sum(e, axis=axis, keepdims=True)
     k = d.shape[axis] if d.ndim else 1
     out_data = np.where(s > 0.0, e / np.where(s > 0.0, s, 1.0), 1.0 / k)
+    rx = _grad_record(x)
 
     def vjp(g):
         inner = np.sum(g * out_data, axis=axis, keepdims=True)
-        _accumulate(x, out_data * (g - inner))
+        _accumulate(rx, out_data * (g - inner))
 
     return _node(out_data, (x,), vjp)
 
 
 def mask_rows(x, mask):
     """Zero the rows of `x` (..., len, d) where the 0/1 `mask` (..., len) is 0."""
-    keep = _positions("mask_rows", x, mask, -2)
+    keep, rx = _positions("mask_rows", x, mask, -2), _grad_record(x)
 
     def vjp(g):
-        _accumulate(x, g * keep)
+        _accumulate(rx, g * keep)
 
     return _node(x.data * keep, (x,), vjp)
 
 
 def relu(x):
-    out_data = np.maximum(x.data, 0.0)
+    out_data, rx = np.maximum(x.data, 0.0), _grad_record(x)
 
     def vjp(g):
-        _accumulate(x, g * (x.data > 0.0))
+        # out > 0 exactly where x > 0, NaN included
+        _accumulate(rx, g * (out_data > 0.0))
 
     return _node(out_data, (x,), vjp)
 
 
 def tanh(x):
-    out_data = np.tanh(x.data)
+    out_data, rx = np.tanh(x.data), _grad_record(x)
 
     def vjp(g):
-        _accumulate(x, g * (1.0 - out_data * out_data))
+        _accumulate(rx, g * (1.0 - out_data * out_data))
 
     return _node(out_data, (x,), vjp)
 
@@ -400,27 +464,30 @@ def sigmoid(x):
     e = np.exp(-np.abs(d))
     denom = 1.0 + e
     out_data = np.where(d >= 0, 1.0 / denom, e / denom)
+    rx = _grad_record(x)
 
     def vjp(g):
-        _accumulate(x, g * out_data * (1.0 - out_data))
+        _accumulate(rx, g * out_data * (1.0 - out_data))
 
     return _node(out_data, (x,), vjp)
 
 
 def log(x):
-    out_data = np.log(x.data)
+    x_data, rx = x.data, _grad_record(x)
+    out_data = np.log(x_data)
 
     def vjp(g):
-        _accumulate(x, g / x.data)
+        _accumulate(rx, g / x_data)
 
     return _node(out_data, (x,), vjp)
 
 
 def clamp_min(x, floor):
-    out_data = np.maximum(x.data, floor)
+    out_data, rx = np.maximum(x.data, floor), _grad_record(x)
 
     def vjp(g):
-        _accumulate(x, g * (x.data > floor))
+        # out > floor exactly where x > floor, NaN included
+        _accumulate(rx, g * (out_data > floor))
 
     return _node(out_data, (x,), vjp)
 
@@ -436,49 +503,55 @@ def _check_same_shape(op, a, b):
 
 def add(a, b):
     _check_same_shape("add", a, b)
+    ra, rb = _grad_record(a), _grad_record(b)
 
     def vjp(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(ra, g)
+        _accumulate(rb, g)
 
     return _node(a.data + b.data, (a, b), vjp)
 
 
 def sub(a, b):
     _check_same_shape("sub", a, b)
+    ra, rb = _grad_record(a), _grad_record(b)
 
     def vjp(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
+        _accumulate(ra, g)
+        _accumulate(rb, -g)
 
     return _node(a.data - b.data, (a, b), vjp)
 
 
 def mul(a, b):
     _check_same_shape("mul", a, b)
+    a_data, b_data, ra, rb = a.data, b.data, _grad_record(a), _grad_record(b)
 
     def vjp(g):
         # a constant operand (a row mask) gets no product
-        if a.requires_grad:
-            _accumulate(a, g * b.data)
-        if b.requires_grad:
-            _accumulate(b, g * a.data)
+        if ra is not None:
+            _accumulate(ra, g * b_data)
+        if rb is not None:
+            _accumulate(rb, g * a_data)
 
-    return _node(a.data * b.data, (a, b), vjp)
+    return _node(a_data * b_data, (a, b), vjp)
 
 
 def mul_const(x, c):
+    rx = _grad_record(x)
+
     def vjp(g):
-        _accumulate(x, g * c)
+        _accumulate(rx, g * c)
 
     return _node(x.data * c, (x,), vjp)
 
 
 def rsub_const(c, x):
     """c - x, elementwise against a python scalar."""
+    rx = _grad_record(x)
 
     def vjp(g):
-        _accumulate(x, -g)
+        _accumulate(rx, -g)
 
     return _node(c - x.data, (x,), vjp)
 
@@ -498,12 +571,13 @@ def concat(tensors, axis=0):
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis % ndim] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    records = [_grad_record(t) for t in tensors]
 
     def vjp(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for r, lo, hi in zip(records, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * ndim
             idx[axis % ndim] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
+            _accumulate(r, g[tuple(idx)])
 
     return _node(out_data, tensors, vjp)
 
@@ -513,8 +587,10 @@ def concat(tensors, axis=0):
 
 
 def sum_all(x):
+    shape, rx = x.shape, _grad_record(x)
+
     def vjp(g):
-        _accumulate(x, np.full(x.shape, float(g)))
+        _accumulate(rx, np.full(shape, float(g)))
 
     return _node(np.sum(x.data), (x,), vjp)
 
@@ -524,11 +600,12 @@ def max_along(x, axis, mask=None):
     d = x.data if mask is None else x.data + (1.0 - _positions("max_along", x, mask, axis)) * MASK_OFF
     idx = np.expand_dims(np.argmax(d, axis=axis), axis)
     out_data = np.max(d, axis=axis)
+    shape, rx = x.shape, _grad_record(x)
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis)
-        _accumulate(x, gx)
+        _accumulate(rx, gx)
 
     return _node(out_data, (x,), vjp)
 
@@ -549,10 +626,10 @@ def take_rows(x, indices):
     """
     if x.ndim != 2:
         raise ShapeError(f"take_rows expects 2-d, got {x.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
+    idx, rx = np.asarray(indices, dtype=np.intp), _grad_record(x)
 
     def vjp(g):
-        _accumulate_gathered(x, idx, g)
+        _accumulate_gathered(rx, idx, g)
 
     return _node(x.data[idx], (x,), vjp)
 
@@ -594,17 +671,17 @@ def embed_rows(table, ids, mask, contexts=None, ctx_dim=0, rate=0.0, rng=None):
             row[: len(rows), d:] = rows
     mask = np.asarray(mask, dtype=np.float64)[..., None]
     buf *= mask
-    keep = None
+    keep, rt = None, _grad_record(table)
     if rate != 0.0:
         scale = rng.random(buf.shape)
         np.divide(scale >= rate, 1.0 - rate, out=scale)
         buf *= scale
-        if table.requires_grad:
+        if rt is not None:
             keep = scale[..., :d].copy()  # a view would hold the whole scale alive
 
     def vjp(g):
         g = g[..., :d] if keep is None else g[..., :d] * keep
-        _accumulate_gathered(table, idx, g * mask)
+        _accumulate_gathered(rt, idx, g * mask)
 
     return _node(buf, (table,), vjp)
 
@@ -613,9 +690,10 @@ def tile_rows(x, n):
     """Repeat a 1 x d row (one per item of a batch) n times; gradient sums the copies."""
     if x.ndim < 2 or x.shape[-2] != 1:
         raise ShapeError(f"tile_rows expects (..., 1, d) rows, got {x.shape}")
+    rx = _grad_record(x)
 
     def vjp(g):
-        _accumulate(x, g.sum(axis=-2, keepdims=True))
+        _accumulate(rx, g.sum(axis=-2, keepdims=True))
 
     return _node(np.repeat(x.data, n, axis=-2), (x,), vjp)
 
@@ -628,10 +706,10 @@ def dropout(x, rate, rng):
     """
     if rate == 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    keep, rx = (rng.random(x.shape) >= rate) / (1.0 - rate), _grad_record(x)
 
     def vjp(g):
-        _accumulate(x, g * keep)
+        _accumulate(rx, g * keep)
 
     return _node(x.data * keep, (x,), vjp)
 

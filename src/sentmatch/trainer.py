@@ -197,13 +197,9 @@ def clip_gradients(params, max_norm):
 
 
 def _max_abs_grad(params):
-    """The largest |gradient| entry; a pending row pair is read as it is, not flushed."""
-    worst = 0.0
-    for p in params.values():
-        g = _stored_grad(p)
-        if g is not None:
-            worst = max(worst, float(np.max(np.abs(g), initial=0.0)))
-    return worst
+    """The largest |gradient| entry, nan if any is; a pending row pair is read as it is, not flushed."""
+    peaks = [np.max(np.abs(g), initial=0.0) for g in map(_stored_grad, params.values()) if g is not None]
+    return float(np.max(peaks, initial=0.0))  # np.max, unlike max(), lets a nan win
 
 
 def _classification_loss(model, batch, train, rng):

@@ -95,7 +95,7 @@ class TestGraphFreeNodes:
         a, w = T.constant(np.ones((2, 3))), T.parameter(np.ones((3, 4)))
         node = T.matmul(a, w)
         assert node.requires_grad and node._vjp is not None
-        assert node._parents == (a, w)
+        assert node._parents == (a._record, w._record)
 
     def test_backward_through_a_graph_free_input(self):
         x = np.linspace(-2.0, 2.0, 6).reshape(2, 3)

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -261,6 +262,62 @@ def test_gradients_match_finite_differences(op_name, seed):
     assert report.passed, f"{op_name} seed {seed}: {report}"
 
 
+# inputs of an op-table case whose arrays the graph keeps: the ones a vjp reads
+KEPT_INPUTS = {
+    "matmul": {0, 1},
+    "matmul_shared_batched": {0, 1},
+    "matmul_batched": {0, 1},  # the second through the transpose view that matmul reads
+    "conv1d": {1},  # the padded copy stands in for the input
+    "conv1d_batched": {1},
+    "log": {0},
+    "mul": {0, 1},
+    "concat_fusion_batched": {0, 1},  # read by its mul
+    # the output is a view of the input, and the weighting mul reads the output
+    "transpose": {0},
+    "transpose_batched": {0},
+    "reshape": {0},
+    "reshape_batched": {0},
+}
+
+
+def _case(op_name):
+    return {name: (fn, ins) for name, fn, ins in _op_cases(np.random.default_rng(0))}[op_name]
+
+
+def _graph(record):
+    """Every record reachable from `record`, itself included."""
+    seen, stack = {id(record)}, [record]
+    while stack:
+        record = stack.pop()
+        yield record
+        for parent in record._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+
+
+@pytest.mark.parametrize("op_name", OP_NAMES)
+def test_the_graph_keeps_an_input_array_only_if_a_vjp_reads_it(op_name):
+    fn, leaves = _case(op_name)
+    inputs = [T.mul_const(leaf, 1.0) for leaf in leaves]  # interior nodes: only these tensors hold their arrays
+    arrays = [weakref.ref(t.data) for t in inputs]
+    out = fn(inputs)
+    del inputs
+    assert {i for i, array in enumerate(arrays) if array() is not None} == KEPT_INPUTS.get(op_name, set())
+    T.sum_all(out).backward()
+    assert all(leaf.grad is not None for leaf in leaves)
+
+
+@pytest.mark.parametrize("op_name", OP_NAMES)
+def test_no_vjp_closure_holds_a_tensor(op_name):
+    fn, leaves = _case(op_name)
+    for record in _graph(fn([T.mul_const(leaf, 1.0) for leaf in leaves])._record):
+        assert type(record) is T._Record
+        cells = [cell.cell_contents for cell in record._vjp.__closure__ or ()] if record._vjp is not None else []
+        held = [v for c in cells for v in (c if isinstance(c, (list, tuple)) else [c])]
+        assert not any(isinstance(v, T.Tensor) for v in held), f"{op_name}: {record._vjp.__qualname__} holds a Tensor"
+
+
 def _masked_and_composed(name, axis):
     """The engine op taking `mask`, and the composition of plain ops it replaces."""
     if name == "mask_rows":
@@ -353,14 +410,14 @@ class TestBackward:
         frozen = T.constant(rng.normal(size=(3, 4)))
         loss = T.sum_all(T.tanh(T.matmul(T.add(T.take_rows(table, [3, 1, 3]), frozen), w)))
         loss.backward()
-        interior, stack = [], [loss]
+        interior, stack = [], [loss._record]
         while stack:
-            node = stack.pop()
-            if node._vjp is not None:
-                interior.append(node)
-                stack.extend(node._parents)
+            record = stack.pop()
+            if record._vjp is not None:
+                interior.append(record)
+                stack.extend(record._parents)
         assert len(interior) == 5
-        assert all(node.grad is None for node in interior)
+        assert all(record._grad is None and record._rows is None for record in interior)
         assert T._grad_rows(table)[0].tolist() == [1, 3], "a leaf keeps its row records"
         assert w.grad.shape == (4, 4) and frozen.grad is None
 
@@ -380,6 +437,21 @@ class TestBackward:
                 tracemalloc.stop()
         # each interior gradient is freed once its vjp has fired
         assert peaks[1] < peaks[0] + x.data.nbytes, f"{peaks[1] / x.data.nbytes:.1f} MB for 32 links vs {peaks[0] / x.data.nbytes:.1f} MB for 4"
+
+    def test_a_chain_of_adds_holds_one_activation(self):
+        x = T.parameter(np.ones(1 << 17))  # 1 MB
+        tracemalloc.start()
+        try:
+            h = x
+            for _ in range(32):
+                h = T.add(h, x)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # add's vjp reads no array, so each sum is freed when the next one replaces it
+        assert held < 2 * x.data.nbytes, f"{held / x.data.nbytes:.1f} MB held after 32 adds"
+        T.sum_all(h).backward()
+        assert x.grad.tobytes() == np.full(x.shape, 33.0).tobytes()
 
     def test_deep_chain_terminates(self):
         x = T.parameter(np.ones(4))

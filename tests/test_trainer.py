@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import json
+import os
 import struct
 import tracemalloc
 
@@ -485,6 +487,24 @@ class TestTraining:
         with pytest.raises(NumericalError, match=r"epoch 0 batch 0.*max\|grad\|"):
             train(_tiny_cfg(epochs=1), pairs)
 
+    def test_nan_gradients_report_a_nan_max(self, monkeypatch):
+        def poisoned(model, batch, train, rng):
+            return T.mul_const(trainer_mod.cross_entropy(model.forward_pair(batch, train=train, rng=rng), batch.labels), np.nan)
+
+        monkeypatch.setattr(trainer_mod, "_classification_loss", poisoned)
+        with pytest.raises(NumericalError, match=r"max\|grad\|=nan$"):
+            train(_tiny_cfg(epochs=1), _classify_pairs(12, seed=5))
+
+    def test_one_nan_entry_makes_the_max_abs_grad_nan(self):
+        big, poisoned, table = T.parameter(np.zeros(3)), T.parameter(np.zeros(3)), T.parameter(np.zeros((4, 2)))
+        big.grad = np.array([-7.0, 1.0, 0.0])
+        poisoned.grad = np.array([0.5, np.nan, 0.0])
+        T._accumulate_rows(table, np.array([1, 3]), np.array([[2.0, np.nan], [1.0, 1.0]]))
+        assert trainer_mod._max_abs_grad({"big": big}) == 7.0
+        for params in ({"big": big, "poisoned": poisoned}, {"poisoned": poisoned, "big": big}, {"big": big, "table": table}):
+            assert np.isnan(trainer_mod._max_abs_grad(params)), list(params)
+        assert T._grad_rows(table) is not None, "the pair is read, not flushed"
+
     def test_nan_loss_message_reads_the_table_pair_without_flushing_it(self, monkeypatch):
         built, init_params = [], trainer_mod.init_params
 
@@ -670,6 +690,38 @@ class TestCheckpoint:
         broken = dataclasses.replace(ck, params={**ck.params, name: bad})
         with pytest.raises(ValueError):
             save_checkpoint(path, broken)
+        assert path.read_bytes() == good
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]
+
+    @pytest.mark.skipif(not hasattr(os, "posix_fallocate"), reason="no os.posix_fallocate on this platform")
+    def test_a_preallocated_save_writes_the_bytes_of_a_plain_one(self, tmp_path, monkeypatch):
+        ck = train(_tiny_cfg(epochs=1), _classify_pairs(12, seed=20)).checkpoint
+        sizes, fallocate = [], os.posix_fallocate
+
+        def spied(fd, offset, size):
+            sizes.append((offset, size))
+            fallocate(fd, offset, size)
+
+        monkeypatch.setattr(os, "posix_fallocate", spied)
+        save_checkpoint(tmp_path / "pre.bin", ck)
+        monkeypatch.delattr(os, "posix_fallocate")
+        save_checkpoint(tmp_path / "plain.bin", ck)
+        plain = (tmp_path / "plain.bin").read_bytes()
+        assert sizes == [(0, len(plain))], "preallocated to the exact length"
+        assert (tmp_path / "pre.bin").read_bytes() == plain
+
+    def test_a_failed_preallocation_leaves_the_previous_file_intact(self, tmp_path, monkeypatch):
+        ck = train(_tiny_cfg(epochs=1), _classify_pairs(12, seed=20)).checkpoint
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, ck)
+        good = path.read_bytes()
+
+        def full(fd, offset, size):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, ck)
         assert path.read_bytes() == good
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]
 
