@@ -67,20 +67,12 @@ def _manifest(ck):
 
 
 def save_checkpoint(path, ck):
-    """Write `ck` to `path` atomically: a failed write leaves any previous file intact.
-
-    The temporary file is first given its exact final size, where the
-    platform has `os.posix_fallocate`: on ext4, renaming over an existing
-    file otherwise flushes the new file's delayed blocks first. On a
-    2-vCPU VM's virtio disk, replacing a synced 100 MB file took 73-78 ms
-    that way and 26-35 ms preallocated.
-    """
+    """Write `ck` to `path` atomically: a failed write leaves any previous file intact."""
     header = json.dumps(_manifest(ck), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    head = MAGIC + struct.pack("<IQ", VERSION, len(header)) + header
     with _write_atomic(path) as fh:
-        if hasattr(os, "posix_fallocate"):
-            os.posix_fallocate(fh.fileno(), 0, len(head) + 8 * sum(t.size for t in ck.params.values()))
-        fh.write(head)
+        fh.write(MAGIC)
+        fh.write(struct.pack("<IQ", VERSION, len(header)))
+        fh.write(header)
         for name in sorted(ck.params):
             fh.write(memoryview(np.ascontiguousarray(ck.params[name].data, dtype="<f8")))
 

@@ -1,7 +1,5 @@
 import dataclasses
-import errno
 import json
-import os
 import struct
 import tracemalloc
 
@@ -690,38 +688,6 @@ class TestCheckpoint:
         broken = dataclasses.replace(ck, params={**ck.params, name: bad})
         with pytest.raises(ValueError):
             save_checkpoint(path, broken)
-        assert path.read_bytes() == good
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]
-
-    @pytest.mark.skipif(not hasattr(os, "posix_fallocate"), reason="no os.posix_fallocate on this platform")
-    def test_a_preallocated_save_writes_the_bytes_of_a_plain_one(self, tmp_path, monkeypatch):
-        ck = train(_tiny_cfg(epochs=1), _classify_pairs(12, seed=20)).checkpoint
-        sizes, fallocate = [], os.posix_fallocate
-
-        def spied(fd, offset, size):
-            sizes.append((offset, size))
-            fallocate(fd, offset, size)
-
-        monkeypatch.setattr(os, "posix_fallocate", spied)
-        save_checkpoint(tmp_path / "pre.bin", ck)
-        monkeypatch.delattr(os, "posix_fallocate")
-        save_checkpoint(tmp_path / "plain.bin", ck)
-        plain = (tmp_path / "plain.bin").read_bytes()
-        assert sizes == [(0, len(plain))], "preallocated to the exact length"
-        assert (tmp_path / "pre.bin").read_bytes() == plain
-
-    def test_a_failed_preallocation_leaves_the_previous_file_intact(self, tmp_path, monkeypatch):
-        ck = train(_tiny_cfg(epochs=1), _classify_pairs(12, seed=20)).checkpoint
-        path = tmp_path / "ck.bin"
-        save_checkpoint(path, ck)
-        good = path.read_bytes()
-
-        def full(fd, offset, size):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
-        with pytest.raises(OSError, match="No space"):
-            save_checkpoint(path, ck)
         assert path.read_bytes() == good
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]
 
