@@ -23,8 +23,8 @@ with every expected key, known tensor kinds, a config object that
 passes `TrainConfig.validate` and a non-negative integer epoch, or
 whose parameters are not, by name and shape, those its config and
 vocabulary call for (`model.param_shapes`, checked before any array is
-read), or that holds a non-finite parameter value, raises ParseError
-naming the file.
+read), or that holds a non-finite parameter value or any byte past its
+last tensor, raises ParseError naming the file.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig
-from .embedding import Vocab, _need, _read_exact, _write_atomic
+from .embedding import Vocab, _need, _read_exact, _refuse_trailing, _write_atomic
 from .errors import ConfigError, DataError, ParseError
 from .model import param_shapes
 
@@ -174,4 +174,5 @@ def _from_manifest(fh, path, size, manifest):
         if not np.isfinite(data).all():
             raise ParseError(f"{path}: tensor {entry['name']!r} holds a non-finite value")
         params[entry["name"]] = T.constant(data)
+    _refuse_trailing(path, fh.tell(), size, "the last tensor")
     return Checkpoint(params=params, epoch=epoch, config=config, vocab=vocab)

@@ -318,8 +318,9 @@ def read_contextual_cache(path):
     opens and the process's memory does not grow with the file. The file
     must therefore not be rewritten in place while the records are in use
     (`write_contextual_cache` replaces it by rename, which is safe). Any
-    extent past the end of the file raises ParseError naming the byte, and
-    so does a record's first lookup if it holds a non-finite value.
+    extent past the end of the file, or any byte past the last record,
+    raises ParseError naming the byte, and so does a record's first
+    lookup if it holds a non-finite value.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -348,6 +349,7 @@ def read_contextual_cache(path):
             index[sid] = (pos, n_rows)
             pos += n_rows * dim * 4
             fh.seek(pos)
+        _refuse_trailing(path, pos, size, "the last record")
         buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     return dim, _CacheRecords(path, buf, dim, index)
 
@@ -356,6 +358,12 @@ def _need(path, pos, count, size):
     """Refuse `count` bytes at byte `pos` of a file of `size` bytes that end past it."""
     if pos + count > size:
         raise ParseError(f"{path}: truncated: {count} bytes needed at byte {pos} of {size}")
+
+
+def _refuse_trailing(path, pos, size, what):
+    """Refuse a file of `size` bytes whose contents end at byte `pos`, before its end."""
+    if pos != size:
+        raise ParseError(f"{path}: {size - pos} bytes after {what}, from byte {pos} of {size}")
 
 
 def _read_exact(fh, count, path, size):

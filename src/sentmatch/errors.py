@@ -29,5 +29,9 @@ class CacheMissError(DataError):
     """Contextual vector lookup failed for a sentence id."""
 
 
+class GraphError(SentMatchError):
+    """Backward was asked to run through a graph an earlier backward consumed."""
+
+
 class NumericalError(SentMatchError):
     """Non-finite value appeared where a finite one is required."""

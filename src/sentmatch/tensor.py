@@ -6,16 +6,22 @@ values: a tensor that backward may visit has a record (`_Record`)
 holding its parents' records, its vector-Jacobian closure, its pending
 gradient, its shape and `requires_grad`, but not its value. A closure
 keeps exactly the arrays it reads (its operands for `matmul` and `mul`,
-its own output for `softmax`, `relu` or `tanh`, nothing for `add` or
-`concat`), so an activation no vjp reads is freed as soon as the model
-code drops its tensor, not when the step's graph goes.
-`Tensor.backward()` replays the recorded graph once, in reverse
+its own output for `softmax` or `tanh`, nothing for `add` or `concat`),
+so an activation no vjp reads is freed as soon as the model code drops
+its tensor, not when the step's graph goes. A 0/1 factor (the dropout
+draws, where `relu` and `clamp_min` pass) is kept as a bool array, an
+eighth of its float64 size, and the vjp rebuilds the float factor with
+the forward's own expression, so gradients keep their bits.
+`Tensor.backward()` runs through the recorded graph once, in reverse
 topological order, accumulating gradients into every record that
-requires them. Only leaves keep their gradients afterwards: an interior
-record's gradient is released as soon as its closure has consumed it,
-so backward holds the gradients of the frontier it is working on, not
-one per activation. The records and closures stay, so backward can be
-replayed.
+requires them, and consumes it as it goes: a record's closure is
+dropped as soon as it has fired, and with it every array that only
+fired closures read, while the records themselves stay with their
+parents and shapes. Only leaves keep their gradients afterwards: an
+interior record's gradient is released as soon as its closure has
+consumed it, so backward holds the gradients of the frontier it is
+working on, not one per activation. A second backward through a
+consumed graph raises GraphError.
 
 A node none of whose inputs needs a gradient is graph-free: it gets no
 record, no parents and no closure, since backward would never visit
@@ -53,7 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ShapeError
+from .errors import ConfigError, GraphError, NumericalError, ShapeError
 
 # Additive bias for masked attention cells. Finite on purpose: exp(x) for
 # x <= -745 underflows to exactly 0.0 in float64, so masked positions get
@@ -78,7 +84,7 @@ class _Record:
         self.shape = shape
         self.requires_grad = requires_grad
         self._parents = parents  # the parents' records
-        self._vjp = vjp  # g -> None, accumulating into the parents' records
+        self._vjp = vjp  # g -> None, accumulating into the parents' records; None once fired
         self._grad = None
         # pending row-sparse gradient: None or one (rows, values) pair (see _accumulate_rows)
         self._rows = None
@@ -156,10 +162,12 @@ class Tensor:
         Visits each record exactly once, children before parents.
         Gradients of every record reachable through grad-requiring edges
         are reset first, so repeated backward calls on disjoint graphs do
-        not leak accumulation across calls. An interior record's gradient
-        is dropped right after its vjp has fired; leaves keep theirs, row
-        pairs included (see the module docstring). The graph is kept,
-        so calling backward again gives the same leaf gradients.
+        not leak accumulation across calls. An interior record's vjp and
+        gradient are dropped right after the vjp has fired; leaves keep
+        their gradients, row pairs included (see the module docstring).
+        The graph is consumed: a record with parents but no vjp has
+        fired, and a backward that reaches one raises GraphError before
+        it changes any gradient.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
@@ -177,6 +185,8 @@ class Tensor:
                     advanced = True
                     break
             if not advanced:
+                if node._vjp is None and node._parents:
+                    raise GraphError("backward through a graph that an earlier backward already consumed")
                 topo.append(node)
                 stack.pop()
         for node in topo:
@@ -189,7 +199,8 @@ class Tensor:
                 if node._rows is not None:
                     _flush_rows(node)
                 node._vjp(node._grad)
-                node._grad = None  # dead once its vjp has fired; only leaves keep theirs
+                # both dead once fired: the closure's arrays go unless a later vjp reads them too
+                node._vjp = node._grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -350,6 +361,14 @@ def reshape(a, shape):
     return _node(a.data.reshape(shape), (a,), vjp)
 
 
+def _pad_rows(x, pad):
+    """`x` (..., len, d) between `pad` zero rows before and after it along the sequence axis."""
+    *lead, n, d = x.shape
+    xp = np.zeros((*lead, n + 2 * pad, d))
+    xp[..., pad:pad + n, :] = x
+    return xp
+
+
 def conv1d(x, kernels):
     """Same-padded cross-correlation along the sequence axis (-2).
 
@@ -368,20 +387,20 @@ def conv1d(x, kernels):
         raise ShapeError(f"conv1d channel mismatch: input {x.shape} vs kernels {kernels.shape}")
     *lead, n, _ = x.shape
     pad = w // 2
-    k_data, rx, rk = kernels.data, _grad_record(x), _grad_record(kernels)
-    xp = np.zeros((*lead, n + 2 * pad, d_in))
-    xp[..., pad:pad + n, :] = x.data
+    x_data, k_data, rx, rk = x.data, kernels.data, _grad_record(x), _grad_record(kernels)
+    xp = _pad_rows(x_data, pad)
     out_data = np.zeros((*lead, n, d_out))
     for dt in range(w):
         out_data += xp[..., dt:dt + n, :] @ k_data[dt]
 
     def vjp(g):
         if rx is not None:
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((*lead, n + 2 * pad, d_in))
             for dt in range(w):
                 gxp[..., dt:dt + n, :] += g @ k_data[dt].T
             _accumulate(rx, gxp[..., pad:pad + n, :])
         if rk is not None:
+            xp = _pad_rows(x_data, pad)  # padded again: the graph keeps the input, not a wider copy
             g_rows = g.reshape(-1, d_out)
             gk = np.empty_like(k_data)
             for dt in range(w):
@@ -441,10 +460,10 @@ def mask_rows(x, mask):
 
 def relu(x):
     out_data, rx = np.maximum(x.data, 0.0), _grad_record(x)
+    pos = out_data > 0.0  # exactly where x > 0, NaN included
 
     def vjp(g):
-        # out > 0 exactly where x > 0, NaN included
-        _accumulate(rx, g * (out_data > 0.0))
+        _accumulate(rx, g * pos)
 
     return _node(out_data, (x,), vjp)
 
@@ -484,10 +503,10 @@ def log(x):
 
 def clamp_min(x, floor):
     out_data, rx = np.maximum(x.data, floor), _grad_record(x)
+    pos = out_data > floor  # exactly where x > floor, NaN included
 
     def vjp(g):
-        # out > floor exactly where x > floor, NaN included
-        _accumulate(rx, g * (out_data > floor))
+        _accumulate(rx, g * pos)
 
     return _node(out_data, (x,), vjp)
 
@@ -655,8 +674,8 @@ def embed_rows(table, ids, mask, contexts=None, ctx_dim=0, rate=0.0, rng=None):
     (len_i, ctx_dim) array per item of `ids` (any float dtype, converted
     on assignment), or is None when `ctx_dim` is 0. `rate` 0 (as at
     inference) draws nothing. Only the table gets a gradient, through its
-    row-sparse pair as in take_rows, so of the dropout scale only the
-    table's columns are kept.
+    row-sparse pair as in take_rows, so of the dropout draws only the
+    table's columns are kept, as bool.
     """
     if table.ndim != 2:
         raise ShapeError(f"embed_rows expects a 2-d table, got {table.shape}")
@@ -671,17 +690,19 @@ def embed_rows(table, ids, mask, contexts=None, ctx_dim=0, rate=0.0, rng=None):
             row[: len(rows), d:] = rows
     mask = np.asarray(mask, dtype=np.float64)[..., None]
     buf *= mask
-    keep, rt = None, _grad_record(table)
+    kept, rt = None, _grad_record(table)
     if rate != 0.0:
         scale = rng.random(buf.shape)
-        np.divide(scale >= rate, 1.0 - rate, out=scale)
+        drawn = scale >= rate
+        np.divide(drawn, 1.0 - rate, out=scale)
         buf *= scale
         if rt is not None:
-            keep = scale[..., :d].copy()  # a view would hold the whole scale alive
+            kept = drawn[..., :d].copy()  # a view would hold the whole draw alive
+    on = mask != 0.0  # the 0/1 mask as bool: g * on has the bits of g * mask
 
     def vjp(g):
-        g = g[..., :d] if keep is None else g[..., :d] * keep
-        _accumulate_gathered(rt, idx, g * mask)
+        g = g[..., :d] if kept is None else g[..., :d] * (kept / (1.0 - rate))
+        _accumulate_gathered(rt, idx, g * on)
 
     return _node(buf, (table,), vjp)
 
@@ -706,12 +727,12 @@ def dropout(x, rate, rng):
     """
     if rate == 0.0:
         return x
-    keep, rx = (rng.random(x.shape) >= rate) / (1.0 - rate), _grad_record(x)
+    kept, rx = rng.random(x.shape) >= rate, _grad_record(x)
 
     def vjp(g):
-        _accumulate(rx, g * keep)
+        _accumulate(rx, g * (kept / (1.0 - rate)))
 
-    return _node(x.data * keep, (x,), vjp)
+    return _node(x.data * (kept / (1.0 - rate)), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,33 @@ def embed_rows_composed(ops, table, ids, mask, contexts, ctx_dim, rate, rng):
     return x
 
 
+def dropout_grad_float_factor(g, draws, rate):
+    """dropout's vjp as it was with a float64 factor: the factor built from the uniform `draws`, then one product."""
+    keep = (draws >= rate) / (1.0 - rate)
+    return g * keep
+
+
+def above_grad_float_output(g, out, floor):
+    """relu's (floor 0) or clamp_min's vjp as it was, reading its float64 output `out`."""
+    return g * (out > floor)
+
+
+def embed_rows_grad_float_mask(g, draws, mask, rate, d):
+    """embed_rows' gradient for its (..., n) gathered table rows, before the row scatter, from float64 factors.
+
+    `g` is the (..., n, width) output gradient, `draws` the uniforms
+    dropout drew over the whole width (None at rate 0) and `mask` the 0/1
+    (..., n) positions; `d` is the table's width. As the op computed it
+    while it kept the table columns of the float scale and the float mask.
+    """
+    g = g[..., :d]
+    if draws is not None:
+        scale = np.empty_like(draws)
+        np.divide(draws >= rate, 1.0 - rate, out=scale)
+        g = g * scale[..., :d].copy()
+    return g * np.asarray(mask, dtype=np.float64)[..., None]
+
+
 def mask_bias_composed(ops, x, mask, axis):
     """`x` plus the additive bias the attention blocks first built from a padding mask.
 

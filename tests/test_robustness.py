@@ -175,6 +175,35 @@ class TestCheckpointFile:
             load_checkpoint(path)
         assert "negative" in str(err.value)
 
+    @pytest.mark.parametrize("extra", [1, 8, 72])
+    @pytest.mark.parametrize("layout", ["current", "legacy"])
+    def test_bytes_after_the_last_tensor_are_a_parse_error(self, tmp_path, ck_blob, legacy_ck_blob, layout, extra):
+        blob = ck_blob if layout == "current" else legacy_ck_blob
+        path = _write(tmp_path, "ck.bin", blob + bytes(range(7, 7 + extra)))
+        with pytest.raises(ParseError, match=str(path)) as err:
+            load_checkpoint(path)
+        assert f"{extra} bytes after the last tensor, from byte {len(blob)} of {len(blob) + extra}" in str(err.value)
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_cli_on_a_checkpoint_with_trailing_bytes_exits_2(self, tmp_path, capsys, ck_blob, command):
+        dev = tmp_path / "dev.tsv"
+        write_tsv(dev, make_classification_pairs(6, seed=2))
+        path = _write(tmp_path, "ck.bin", ck_blob + b"\0" * 72)
+        assert main([command, "--checkpoint", str(path), "--data", str(dev)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error:") and str(path) in err and f"from byte {len(ck_blob)}" in err
+
+    def test_a_legacy_file_with_adam_moments_loads_as_the_current_one(self, tmp_path, ck_blob, legacy_ck_blob):
+        manifest = json.loads(legacy_ck_blob[16 : _manifest_end(legacy_ck_blob)])
+        assert {entry["kind"] for entry in manifest["tensors"]} == {"param", "adam_m", "adam_v"}
+        legacy, current = (load_checkpoint(_write(tmp_path, name, blob)) for name, blob in (("legacy.bin", legacy_ck_blob), ("ck.bin", ck_blob)))
+        assert legacy.epoch == current.epoch and legacy.vocab.id_to_token == current.vocab.id_to_token
+        assert {n: t.data.tobytes() for n, t in legacy.params.items()} == {n: t.data.tobytes() for n, t in current.params.items()}
+        resaved = tmp_path / "resaved.bin"
+        save_checkpoint(resaved, legacy)
+        assert resaved.read_bytes() == ck_blob
+
     def test_eval_on_a_truncated_checkpoint_exits_2_without_a_traceback(self, tmp_path, ck_blob):
         dev = tmp_path / "dev.tsv"
         write_tsv(dev, make_classification_pairs(6, seed=2))
@@ -273,6 +302,13 @@ class TestContextualCacheFile:
         assert path.read_bytes() == cache_blob
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ctx.bin"]
 
+    @pytest.mark.parametrize("extra", [1, 4, 72])
+    def test_bytes_after_the_last_record_are_a_parse_error(self, tmp_path, cache_blob, extra):
+        path = _write(tmp_path, "ctx.bin", cache_blob + b"\xab" * extra)
+        with pytest.raises(ParseError, match=str(path)) as err:
+            read_contextual_cache(path)
+        assert f"{extra} bytes after the last record, from byte {len(cache_blob)} of {len(cache_blob) + extra}" in str(err.value)
+
     def test_huge_record_length_is_a_parse_error(self, tmp_path, cache_blob):
         at = 20  # the first record's id length
         path = _write(tmp_path, "ctx.bin", cache_blob[:at] + struct.pack("<I", 2**32 - 1) + cache_blob[at + 4 :])
@@ -331,6 +367,16 @@ class TestContextualCacheInput:
         proc = _run_cli("train", "--train", DATA / "tiny_train.tsv", *self.ARGS, "--contextual_dim", "4", "--contextual", cache, "--out", out)
         _assert_one_error_line(proc, 2, cache, "non-finite value at byte")
         assert not (out / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_a_cache_with_trailing_bytes_at_inference(self, tmp_path, stub_ck, command):
+        cache = _tiny_cache(tmp_path / "ctx4.bin", 4)
+        size = cache.stat().st_size
+        with open(cache, "ab") as fh:
+            fh.write(b"\0" * 72)
+        proc = _run_cli(command, "--checkpoint", stub_ck, "--data", DATA / "tiny_dev.tsv", "--contextual", cache)
+        _assert_one_error_line(proc, 2, cache, f"72 bytes after the last record, from byte {size}")
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_a_non_finite_cache_at_inference(self, tmp_path, stub_ck, command):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sentmatch import tensor as T
-from sentmatch.errors import ConfigError, NumericalError, ShapeError
+from sentmatch.errors import ConfigError, GraphError, NumericalError, ShapeError
 
 import oracles
 
@@ -267,8 +267,8 @@ KEPT_INPUTS = {
     "matmul": {0, 1},
     "matmul_shared_batched": {0, 1},
     "matmul_batched": {0, 1},  # the second through the transpose view that matmul reads
-    "conv1d": {1},  # the padded copy stands in for the input
-    "conv1d_batched": {1},
+    "conv1d": {0, 1},  # the input itself, padded again in backward
+    "conv1d_batched": {0, 1},
     "log": {0},
     "mul": {0, 1},
     "concat_fusion_batched": {0, 1},  # read by its mul
@@ -308,14 +308,71 @@ def test_the_graph_keeps_an_input_array_only_if_a_vjp_reads_it(op_name):
     assert all(leaf.grad is not None for leaf in leaves)
 
 
+def _held(record):
+    """What `record`'s vjp closure holds, lists and tuples opened one level."""
+    cells = [cell.cell_contents for cell in record._vjp.__closure__ or ()] if record._vjp is not None else []
+    return [v for c in cells for v in (c if isinstance(c, (list, tuple)) else [c])]
+
+
 @pytest.mark.parametrize("op_name", OP_NAMES)
 def test_no_vjp_closure_holds_a_tensor(op_name):
     fn, leaves = _case(op_name)
     for record in _graph(fn([T.mul_const(leaf, 1.0) for leaf in leaves])._record):
         assert type(record) is T._Record
-        cells = [cell.cell_contents for cell in record._vjp.__closure__ or ()] if record._vjp is not None else []
-        held = [v for c in cells for v in (c if isinstance(c, (list, tuple)) else [c])]
-        assert not any(isinstance(v, T.Tensor) for v in held), f"{op_name}: {record._vjp.__qualname__} holds a Tensor"
+        assert not any(isinstance(v, T.Tensor) for v in _held(record)), f"{op_name}: {record._vjp.__qualname__} holds a Tensor"
+
+
+def _float_factor(v):
+    """A float64 array with at most one value besides zero: a 0/1 mask, or one scaled as dropout scales it."""
+    return isinstance(v, np.ndarray) and v.dtype == np.float64 and v.size > 1 and np.unique(v[v != 0.0]).size <= 1
+
+
+@pytest.mark.parametrize("op_name", ["relu", "clamp_min", "dropout", "embed_rows", "embed_rows_ctx_dropout"])
+def test_a_mask_is_kept_as_bool_not_as_a_float64_factor(op_name):
+    fn, leaves = _case(op_name)
+    held = [v for record in _graph(fn([T.mul_const(leaf, 1.0) for leaf in leaves])._record) for v in _held(record)]
+    assert any(isinstance(v, np.ndarray) and v.dtype == np.bool_ for v in held), f"{op_name} keeps no bool mask"
+    assert not any(_float_factor(v) for v in held), f"{op_name} keeps a float64 0/1 factor"
+
+
+# gradients reaching a mask: any float, with both zeros, both infinities and NaN drawn often
+_EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]), st.floats())
+
+
+@pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")  # inf * 0 and the like, on purpose
+class TestBoolMasks:
+    """Each vjp that keeps a bool mask gives the bits of its float64-factor formula (`oracles`)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, (4, 5), elements=_EDGE_FLOATS), hnp.arrays(np.float64, (4, 5), elements=_EDGE_FLOATS), st.sampled_from([0.0, 0.9, -1.5]))
+    def test_relu_and_clamp_min(self, x, g, floor):
+        for op, at in ((T.relu, 0.0), (lambda t: T.clamp_min(t, floor), floor)):
+            leaf = T.parameter(x)
+            out = op(leaf)
+            out._vjp(g)
+            assert leaf._grad.tobytes() == oracles.above_grad_float_output(g, out.data, at).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, (3, 4, 5), elements=_EDGE_FLOATS), st.sampled_from([0.1, 0.25, 0.4, 0.75]), st.integers(0, 2**32 - 1))
+    def test_dropout(self, g, rate, seed):
+        leaf = T.parameter(np.ones(g.shape))
+        T.dropout(leaf, rate, np.random.default_rng(seed))._vjp(g)
+        draws = np.random.default_rng(seed).random(g.shape)
+        assert leaf._grad.tobytes() == oracles.dropout_grad_float_factor(g, draws, rate).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([0.0, 0.3]), st.sampled_from([0, 2]), st.integers(0, 2**32 - 1))
+    def test_embed_rows(self, data, rate, ctx_dim, seed):
+        table = T.parameter(np.linspace(-1.0, 1.0, 15).reshape(5, 3))
+        contexts = EMBED_CONTEXTS if ctx_dim else None
+        out = T.embed_rows(table, EMBED_IDS, EMBED_MASK, contexts, ctx_dim, rate, np.random.default_rng(seed))
+        g = data.draw(hnp.arrays(np.float64, out.shape, elements=_EDGE_FLOATS))
+        out._vjp(g)
+        draws = np.random.default_rng(seed).random(out.shape) if rate else None
+        want = T.parameter(np.zeros(table.shape))
+        T._accumulate_gathered(want, np.asarray(EMBED_IDS), oracles.embed_rows_grad_float_mask(g, draws, EMBED_MASK, rate, 3))
+        (rows, values), (want_rows, want_values) = T._grad_rows(table), T._grad_rows(want)
+        assert rows.tolist() == want_rows.tolist() and values.tobytes() == want_values.tobytes()
 
 
 def _masked_and_composed(name, axis):
@@ -397,13 +454,41 @@ class TestBackward:
         with pytest.raises(ShapeError):
             T.relu(x).backward()
 
-    def test_repeated_backward_does_not_accumulate(self, rng):
+    def test_a_second_backward_raises(self, rng):
         x = T.parameter(rng.normal(size=3))
         out = T.sum_all(T.mul(x, x))
         out.backward()
         first = x.grad.copy()
-        out.backward()
-        np.testing.assert_array_equal(x.grad, first)
+        with pytest.raises(GraphError, match="already consumed"):
+            out.backward()
+        assert x.grad.tobytes() == first.tobytes(), "the refused call changes no gradient"
+
+    def test_a_loss_through_a_consumed_node_raises(self, rng):
+        x = T.parameter(rng.normal(size=3))
+        h = T.tanh(x)
+        T.sum_all(h).backward()
+        with pytest.raises(GraphError, match="already consumed"):
+            T.sum_all(T.mul_const(h, 2.0)).backward()
+
+    def test_backward_frees_the_arrays_its_vjps_read(self, rng):
+        w = T.parameter(rng.normal(size=(4, 4)))
+        h = T.mul_const(T.parameter(rng.normal(size=(3, 4))), 1.0)
+        operand = weakref.ref(h.data)
+        loss = T.sum_all(T.tanh(T.matmul(h, w)))
+        del h
+        assert operand() is not None, "matmul's vjp reads its operand"
+        loss.backward()
+        assert operand() is None, "the operand outlived the vjp that read it"
+        assert w.grad is not None
+
+    def test_records_keep_their_parents_after_backward(self, rng):
+        w = T.parameter(rng.normal(size=(4, 4)))
+        loss = T.sum_all(T.relu(T.matmul(T.dropout(T.parameter(rng.normal(size=(3, 4))), 0.5, rng), w)))
+        before = [(id(record), record._parents, record.shape) for record in _graph(loss._record)]
+        loss.backward()
+        after = [(id(record), record._parents, record.shape) for record in _graph(loss._record)]
+        assert after == before and len(after) == 6
+        assert all(record._vjp is None for record in _graph(loss._record)), "every fired closure is dropped"
 
     def test_only_leaves_keep_their_gradients(self, rng):
         table, w = T.parameter(rng.normal(size=(10, 4))), T.parameter(rng.normal(size=(4, 4)))
@@ -413,7 +498,7 @@ class TestBackward:
         interior, stack = [], [loss._record]
         while stack:
             record = stack.pop()
-            if record._vjp is not None:
+            if record._parents:
                 interior.append(record)
                 stack.extend(record._parents)
         assert len(interior) == 5
