@@ -8,10 +8,11 @@ gradient, its shape and `requires_grad`, but not its value. A closure
 keeps exactly the arrays it reads (its operands for `matmul` and `mul`,
 its own output for `softmax` or `tanh`, nothing for `add` or `concat`),
 so an activation no vjp reads is freed as soon as the model code drops
-its tensor, not when the step's graph goes. A 0/1 factor (the dropout
-draws, where `relu` and `clamp_min` pass) is kept as a bool array, an
-eighth of its float64 size, and the vjp rebuilds the float factor with
-the forward's own expression, so gradients keep their bits.
+its tensor, not when the step's graph goes. A 0/1 factor (the entries
+dropout kept, where `relu` and `clamp_min` pass, `embed_rows`' padding
+mask) is kept as a bool array, an eighth of its float64 size, and the
+vjp rebuilds the float factor with the forward's own expression, so
+gradients keep their bits.
 `Tensor.backward()` runs through the recorded graph once, in reverse
 topological order, accumulating gradients into every record that
 requires them, and consumes it as it goes: a record's closure is
@@ -460,7 +461,8 @@ def mask_rows(x, mask):
 
 def relu(x):
     out_data, rx = np.maximum(x.data, 0.0), _grad_record(x)
-    pos = out_data > 0.0  # exactly where x > 0, NaN included
+    # exactly where x > 0, NaN included; a graph-free forward has no vjp to read it
+    pos = None if rx is None else out_data > 0.0
 
     def vjp(g):
         _accumulate(rx, g * pos)
@@ -503,7 +505,7 @@ def log(x):
 
 def clamp_min(x, floor):
     out_data, rx = np.maximum(x.data, floor), _grad_record(x)
-    pos = out_data > floor  # exactly where x > floor, NaN included
+    pos = None if rx is None else out_data > floor  # exactly where x > floor, NaN included
 
     def vjp(g):
         _accumulate(rx, g * pos)
