@@ -34,8 +34,8 @@ record (with no gradient) when a graph first names it as a parent.
 Row gathers (`take_rows`, `embed_rows`) accumulate row-sparse: a
 tensor's pending gradient is one pair, its sorted unique touched rows
 and their summed values, and each call merges its own rows into it.
-Backward scatters an interior node's pair into one dense buffer when the
-replay reaches that node, but leaves a leaf's pair in place: a lookup
+Backward scatters an interior node's pair into one dense buffer when it
+reaches that node, but leaves a leaf's pair in place: a lookup
 into a large table therefore costs work in proportion to the rows it
 touched, not to the table. Reading a leaf's `grad` still gives a plain
 dense ndarray of its shape, built from the pair on first read; the
