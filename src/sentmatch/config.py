@@ -130,6 +130,8 @@ class TrainConfig:
 
 
 def _coerce(raw, target, key):
+    if isinstance(raw, bool) and target is not bool:  # bool is an int subclass: True is no count
+        raise ConfigError(f"config key {key}: cannot read the boolean {raw!r} as {target.__name__}")
     if isinstance(raw, target):
         return raw
     text = str(raw).strip()

@@ -72,7 +72,13 @@ class Vocab:
 
     @classmethod
     def load(cls, path):
-        tokens = [line for _, line in _text_lines(path, ParseError)]
+        """One token per line, ids in line order; a repeated token would shift every later id, so it is refused."""
+        first_line = {}
+        for line_no, token in _text_lines(path, ParseError):
+            if token in first_line:
+                raise ParseError(f"{path}:{line_no}: token {token!r} repeats line {first_line[token]}")
+            first_line[token] = line_no
+        tokens = list(first_line)
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise ParseError(f"vocab file {path} does not start with the reserved tokens")
         return cls(tokens[2:])

@@ -2,23 +2,22 @@
 
 Every value in the model (activations, weights, losses) is a `Tensor`
 wrapping a numpy float64 array. The graph is kept apart from the
-values: a tensor that backward may visit has a record (`_Record`)
-holding its parents' records, its vector-Jacobian closure, its pending
-gradient, its shape and `requires_grad`, but not its value. A closure
-keeps exactly the arrays it reads (its operands for `matmul` and `mul`,
-its own output for `softmax` or `tanh`, nothing for `add` or `concat`),
-so an activation no vjp reads is freed as soon as the model code drops
-its tensor, not when the step's graph goes. A 0/1 factor (the entries
-dropout kept, where `relu` and `clamp_min` pass, `embed_rows`' padding
-mask) is kept as a bool array, an eighth of its float64 size, and the
-vjp rebuilds the float factor with the forward's own expression, so
-gradients keep their bits.
+values: a tensor has a record (`_Record`) exactly when it requires a
+gradient, holding the records of its parents that require one, its
+vector-Jacobian closure, its pending gradient and its shape, but not
+its value. A closure keeps exactly the arrays it reads (its operands
+for `matmul` and `mul`, its own output for `softmax` or `tanh`,
+nothing for `add` or `concat`), so an activation no vjp reads is freed
+as soon as the model code drops its tensor, not when the step's graph
+goes. A 0/1 factor (the entries dropout kept, where `relu` and
+`clamp_min` pass, `embed_rows`' padding mask) is kept as a bool array,
+an eighth of its float64 size, and the vjp rebuilds the float factor
+with the forward's own expression, so gradients keep their bits.
 `Tensor.backward()` runs through the recorded graph once, in reverse
-topological order, accumulating gradients into every record that
-requires them, and consumes it as it goes: a record's closure is
-dropped as soon as it has fired, and with it every array that only
-fired closures read, while the records themselves stay with their
-parents and shapes. Only leaves keep their gradients afterwards: an
+topological order, accumulating gradients into every record, and
+consumes it as it goes: a record's closure is dropped as soon as it
+has fired, and with it every array that only fired closures read,
+while the records themselves stay with their parents and shapes. Only leaves keep their gradients afterwards: an
 interior record's gradient is released as soon as its closure has
 consumed it, so backward holds the gradients of the frontier it is
 working on, not one per activation. A second backward through a
@@ -28,8 +27,9 @@ A node none of whose inputs needs a gradient is graph-free: it gets no
 record, no parents and no closure, since backward would never visit
 it. A forward over constant parameters (as evaluation runs it)
 therefore builds no graph, and each activation is freed as soon as the
-forward stops using it, as in plain numpy code. A constant gets a
-record (with no gradient) when a graph first names it as a parent.
+forward stops using it, as in plain numpy code. Constants never enter
+a graph: a record names only the parents that require a gradient, and
+backward from a constant does nothing.
 
 Row gathers (`take_rows`, `embed_rows`) accumulate row-sparse: a
 tensor's pending gradient is one pair, its sorted unique touched rows
@@ -79,28 +79,15 @@ def _asarray(data):
 class _Record:
     """A tensor's place in the graph: everything backward reads of it but its value."""
 
-    __slots__ = ("shape", "requires_grad", "_parents", "_vjp", "_grad", "_rows")
+    __slots__ = ("shape", "_parents", "_vjp", "_grad", "_rows")
 
-    def __init__(self, shape, requires_grad, parents=(), vjp=None):
+    def __init__(self, shape, parents=(), vjp=None):
         self.shape = shape
-        self.requires_grad = requires_grad
-        self._parents = parents  # the parents' records
+        self._parents = parents  # the records of the parents that need a gradient
         self._vjp = vjp  # g -> None, accumulating into the parents' records; None once fired
         self._grad = None
         # pending row-sparse gradient: None or one (rows, values) pair (see _accumulate_rows)
         self._rows = None
-
-
-def _from_record(name, default):
-    """A Tensor attribute read from, and written to, its record; `default` while it has none."""
-
-    def get(self):
-        return default if self._record is None else getattr(self._record, name)
-
-    def put(self, value):
-        setattr(_record_of(self), name, value)
-
-    return property(get, put)
 
 
 class Tensor:
@@ -110,25 +97,26 @@ class Tensor:
     shape, or None before backward). Leaf tensors are created with
     `requires_grad=True` for trainable weights and False for constants
     (masks, labels, precomputed vectors); interior nodes inherit the flag
-    from their parents. After backward only a leaf's `grad` is set; an
-    interior node's is None again. The graph attributes below read the
-    record, so the accumulation helpers take a tensor as well as a record.
+    from their parents. A tensor has a record exactly when it requires a
+    gradient, so a constant's `grad` stays None and setting it raises
+    GraphError. After backward only a leaf's `grad` is set; an interior
+    node's is None again.
     """
 
     __slots__ = ("data", "_record")
 
-    _grad = _from_record("_grad", None)
-    _rows = _from_record("_rows", None)
-    _parents = _from_record("_parents", ())
-    _vjp = _from_record("_vjp", None)
-
-    def __init__(self, data, requires_grad=False, _parents=(), _vjp=None):
+    def __init__(self, data, requires_grad=False):
         self.data = _asarray(data)
-        self._record = _Record(self.data.shape, True, _parents, _vjp) if requires_grad else None
+        self._record = _Record(self.data.shape) if requires_grad else None
 
     @property
     def requires_grad(self):
-        return self._record is not None and self._record.requires_grad
+        return self._record is not None
+
+    @property
+    def _parents(self):
+        """The records of this node's parents that need a gradient, () for a constant; a walk from a loss tensor starts here."""
+        return () if self._record is None else self._record._parents
 
     @property
     def shape(self):
@@ -148,31 +136,38 @@ class Tensor:
     @property
     def grad(self):
         """The dense gradient, or None; a pending row pair is scattered into it on first read."""
-        if self._rows is not None:
-            _flush_rows(self)
-        return self._grad
+        record = self._record
+        if record is None:
+            return None
+        if record._rows is not None:
+            _flush_rows(record)
+        return record._grad
 
     @grad.setter
     def grad(self, value):
-        self._grad = value
-        self._rows = None
+        if self._record is None:
+            raise GraphError("a constant has no gradient to set")
+        self._record._grad = value
+        self._record._rows = None
 
     def backward(self):
         """Propagate gradients from this scalar through the graph.
 
         Visits each record exactly once, children before parents.
-        Gradients of every record reachable through grad-requiring edges
-        are reset first, so repeated backward calls on disjoint graphs do
-        not leak accumulation across calls. An interior record's vjp and
-        gradient are dropped right after the vjp has fired; leaves keep
-        their gradients, row pairs included (see the module docstring).
-        The graph is consumed: a record with parents but no vjp has
-        fired, and a backward that reaches one raises GraphError before
-        it changes any gradient.
+        Gradients of every reachable record are reset first, so repeated
+        backward calls on disjoint graphs do not leak accumulation across
+        calls. An interior record's vjp and gradient are dropped right
+        after the vjp has fired; leaves keep their gradients, row pairs
+        included (see the module docstring). The graph is consumed: a
+        record with parents but no vjp has fired, and a backward that
+        reaches one raises GraphError before it changes any gradient. A
+        constant has no graph, so its backward does nothing.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
-        root = _record_of(self)
+        root = self._record
+        if root is None:
+            return
         topo = []
         seen = {id(root)}
         stack = [(root, iter(root._parents))]
@@ -180,7 +175,7 @@ class Tensor:
             node, parents = stack[-1]
             advanced = False
             for p in parents:
-                if p.requires_grad and id(p) not in seen:
+                if id(p) not in seen:
                     seen.add(id(p))
                     stack.append((p, iter(p._parents)))
                     advanced = True
@@ -207,74 +202,58 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _record_of(t):
-    """`t`'s record; a tensor that needs no gradient gets one (without a gradient) on first call.
-
-    Graphs on two threads may race to make a constant's record and each
-    keep its own; that is harmless, since such a record never carries a
-    gradient.
-    """
-    if t._record is None:
-        t._record = _Record(t.data.shape, False)
-    return t._record
+def _accumulate(r, g):
+    """Add `g` to record `r`'s gradient; None (a constant's place) takes nothing."""
+    if r is not None:
+        if r._rows is not None:
+            _flush_rows(r)
+        r._grad = g if r._grad is None else r._grad + g
 
 
-def _grad_record(t):
-    """Where a vjp sends `t`'s gradient: its record, or None when `t` needs none."""
-    return t._record if t.requires_grad else None
-
-
-def _accumulate(t, g):
-    if t is not None and t.requires_grad:
-        if t._rows is not None:
-            _flush_rows(t)
-        t._grad = g if t._grad is None else t._grad + g
-
-
-def _accumulate_rows(t, rows, values):
+def _accumulate_rows(r, rows, values):
     """Add a gradient that is zero outside `rows` (sorted and unique).
 
     Equal, bit for bit, to `_accumulate` of the array that scatters
-    `values` into zeros. While `t` has no dense gradient, its pending
-    pair takes the call: the union of both rows, the old values, and
-    `+=` the new ones. Every entry is a sum begun at +0.0 that adds each
+    `values` into zeros. While record `r` has no dense gradient, its
+    pending pair takes the call: the union of both rows, the old values,
+    and `+=` the new ones. Every entry is a sum begun at +0.0 that adds each
     call's deduplicated sum in firing order, so it is never -0.0: the
     `+ 0.0` that dense accumulation adds on untouched rows would change
     nothing. After a dense contribution, the call is scattered densely
     instead, because that `+ 0.0` turns a -0.0 entry of the dense
     gradient into +0.0.
     """
-    if t._grad is not None:
-        out = np.zeros(t.shape)
+    if r._grad is not None:
+        out = np.zeros(r.shape)
         out[rows] = values
-        _accumulate(t, out)
-    elif t._rows is None:
-        t._rows = (rows, values)
+        _accumulate(r, out)
+    elif r._rows is None:
+        r._rows = (rows, values)
     else:
-        old_rows, old_values = t._rows
+        old_rows, old_values = r._rows
         merged = np.union1d(old_rows, rows)
-        sums = np.zeros((merged.size, t.shape[1]))
+        sums = np.zeros((merged.size, r.shape[1]))
         sums[np.searchsorted(merged, old_rows)] = old_values
         sums[np.searchsorted(merged, rows)] += values
-        t._rows = (merged, sums)
+        r._rows = (merged, sums)
 
 
-def _flush_rows(t):
-    """Turn `t`'s pending (rows, values) pair into its dense gradient."""
-    (rows, values), t._rows = t._rows, None
-    t._grad = np.zeros(t.shape)
-    t._grad[rows] = values
+def _flush_rows(r):
+    """Turn record `r`'s pending (rows, values) pair into its dense gradient."""
+    (rows, values), r._rows = r._rows, None
+    r._grad = np.zeros(r.shape)
+    r._grad[rows] = values
 
 
 def _grad_rows(t):
-    """`t`'s pending row-sparse gradient as (rows, values), or None.
+    """Tensor `t`'s pending row-sparse gradient as (rows, values), or None.
 
     `rows` are sorted and unique, and `values` holds their rows of the
     dense gradient bit for bit. Reading changes nothing; `values`
     belongs to `t` and may be scaled in place. None when `t` has no
-    pending rows (its gradient, if any, is dense).
+    pending rows (its gradient, if any, is dense) or is a constant.
     """
-    return t._rows
+    return None if t._record is None else t._record._rows
 
 
 def constant(data):
@@ -288,13 +267,15 @@ def parameter(data):
 def _node(data, parents, vjp):
     """An op's output: a graph node if some input needs a gradient, else graph-free.
 
-    A graph node's record names every parent's record, constants
-    included; a graph-free node has no record, so its closure, and the
-    arrays it captured, are dropped here.
+    A graph node's record names the records of the parents that need a
+    gradient, and no constant; a graph-free node has no record, so its
+    closure, and the arrays it captured, are dropped here.
     """
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(_record_of(p) for p in parents), _vjp=vjp)
-    return Tensor(data)
+    out = Tensor(data)
+    records = tuple(p._record for p in parents if p._record is not None)
+    if records:
+        out._record = _Record(out.data.shape, records, vjp)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +302,7 @@ def matmul(a, b):
         raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
     shared = b.ndim == 2
     k, m = b.shape[-2:]
-    a_data, b_data, ra, rb = a.data, b.data, _grad_record(a), _grad_record(b)
+    a_data, b_data, ra, rb = a.data, b.data, a._record, b._record
     out_data = a_data @ b_data
 
     def vjp(g):
@@ -345,7 +326,7 @@ def transpose(a):
     """Swap the last two axes."""
     if a.ndim < 2:
         raise ShapeError(f"transpose expects at least 2-d, got {a.shape}")
-    ra = _grad_record(a)
+    ra = a._record
 
     def vjp(g):
         _accumulate(ra, _swap(g))
@@ -354,7 +335,7 @@ def transpose(a):
 
 
 def reshape(a, shape):
-    old, ra = a.shape, _grad_record(a)
+    old, ra = a.shape, a._record
 
     def vjp(g):
         _accumulate(ra, g.reshape(old))
@@ -388,7 +369,7 @@ def conv1d(x, kernels):
         raise ShapeError(f"conv1d channel mismatch: input {x.shape} vs kernels {kernels.shape}")
     *lead, n, _ = x.shape
     pad = w // 2
-    x_data, k_data, rx, rk = x.data, kernels.data, _grad_record(x), _grad_record(kernels)
+    x_data, k_data, rx, rk = x.data, kernels.data, x._record, kernels._record
     xp = _pad_rows(x_data, pad)
     out_data = np.zeros((*lead, n, d_out))
     for dt in range(w):
@@ -440,7 +421,7 @@ def softmax(x, axis=-1, mask=None):
     s = np.sum(e, axis=axis, keepdims=True)
     k = d.shape[axis] if d.ndim else 1
     out_data = np.where(s > 0.0, e / np.where(s > 0.0, s, 1.0), 1.0 / k)
-    rx = _grad_record(x)
+    rx = x._record
 
     def vjp(g):
         inner = np.sum(g * out_data, axis=axis, keepdims=True)
@@ -451,7 +432,7 @@ def softmax(x, axis=-1, mask=None):
 
 def mask_rows(x, mask):
     """Zero the rows of `x` (..., len, d) where the 0/1 `mask` (..., len) is 0."""
-    keep, rx = _positions("mask_rows", x, mask, -2), _grad_record(x)
+    keep, rx = _positions("mask_rows", x, mask, -2), x._record
 
     def vjp(g):
         _accumulate(rx, g * keep)
@@ -460,7 +441,7 @@ def mask_rows(x, mask):
 
 
 def relu(x):
-    out_data, rx = np.maximum(x.data, 0.0), _grad_record(x)
+    out_data, rx = np.maximum(x.data, 0.0), x._record
     # exactly where x > 0, NaN included; a graph-free forward has no vjp to read it
     pos = None if rx is None else out_data > 0.0
 
@@ -471,7 +452,7 @@ def relu(x):
 
 
 def tanh(x):
-    out_data, rx = np.tanh(x.data), _grad_record(x)
+    out_data, rx = np.tanh(x.data), x._record
 
     def vjp(g):
         _accumulate(rx, g * (1.0 - out_data * out_data))
@@ -485,7 +466,7 @@ def sigmoid(x):
     e = np.exp(-np.abs(d))
     denom = 1.0 + e
     out_data = np.where(d >= 0, 1.0 / denom, e / denom)
-    rx = _grad_record(x)
+    rx = x._record
 
     def vjp(g):
         _accumulate(rx, g * out_data * (1.0 - out_data))
@@ -494,7 +475,7 @@ def sigmoid(x):
 
 
 def log(x):
-    x_data, rx = x.data, _grad_record(x)
+    x_data, rx = x.data, x._record
     out_data = np.log(x_data)
 
     def vjp(g):
@@ -504,7 +485,7 @@ def log(x):
 
 
 def clamp_min(x, floor):
-    out_data, rx = np.maximum(x.data, floor), _grad_record(x)
+    out_data, rx = np.maximum(x.data, floor), x._record
     pos = None if rx is None else out_data > floor  # exactly where x > floor, NaN included
 
     def vjp(g):
@@ -524,7 +505,7 @@ def _check_same_shape(op, a, b):
 
 def add(a, b):
     _check_same_shape("add", a, b)
-    ra, rb = _grad_record(a), _grad_record(b)
+    ra, rb = a._record, b._record
 
     def vjp(g):
         _accumulate(ra, g)
@@ -535,7 +516,7 @@ def add(a, b):
 
 def sub(a, b):
     _check_same_shape("sub", a, b)
-    ra, rb = _grad_record(a), _grad_record(b)
+    ra, rb = a._record, b._record
 
     def vjp(g):
         _accumulate(ra, g)
@@ -546,7 +527,7 @@ def sub(a, b):
 
 def mul(a, b):
     _check_same_shape("mul", a, b)
-    a_data, b_data, ra, rb = a.data, b.data, _grad_record(a), _grad_record(b)
+    a_data, b_data, ra, rb = a.data, b.data, a._record, b._record
 
     def vjp(g):
         # a constant operand (a row mask) gets no product
@@ -559,7 +540,7 @@ def mul(a, b):
 
 
 def mul_const(x, c):
-    rx = _grad_record(x)
+    rx = x._record
 
     def vjp(g):
         _accumulate(rx, g * c)
@@ -569,7 +550,7 @@ def mul_const(x, c):
 
 def rsub_const(c, x):
     """c - x, elementwise against a python scalar."""
-    rx = _grad_record(x)
+    rx = x._record
 
     def vjp(g):
         _accumulate(rx, -g)
@@ -592,7 +573,7 @@ def concat(tensors, axis=0):
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis % ndim] for t in tensors]
     offsets = np.cumsum([0] + sizes)
-    records = [_grad_record(t) for t in tensors]
+    records = [t._record for t in tensors]
 
     def vjp(g):
         for r, lo, hi in zip(records, offsets[:-1], offsets[1:]):
@@ -608,7 +589,7 @@ def concat(tensors, axis=0):
 
 
 def sum_all(x):
-    shape, rx = x.shape, _grad_record(x)
+    shape, rx = x.shape, x._record
 
     def vjp(g):
         _accumulate(rx, np.full(shape, float(g)))
@@ -621,7 +602,7 @@ def max_along(x, axis, mask=None):
     d = x.data if mask is None else x.data + (1.0 - _positions("max_along", x, mask, axis)) * MASK_OFF
     idx = np.expand_dims(np.argmax(d, axis=axis), axis)
     out_data = np.max(d, axis=axis)
-    shape, rx = x.shape, _grad_record(x)
+    shape, rx = x.shape, x._record
 
     def vjp(g):
         gx = np.zeros(shape)
@@ -647,7 +628,7 @@ def take_rows(x, indices):
     """
     if x.ndim != 2:
         raise ShapeError(f"take_rows expects 2-d, got {x.shape}")
-    idx, rx = np.asarray(indices, dtype=np.intp), _grad_record(x)
+    idx, rx = np.asarray(indices, dtype=np.intp), x._record
 
     def vjp(g):
         _accumulate_gathered(rx, idx, g)
@@ -655,13 +636,13 @@ def take_rows(x, indices):
     return _node(x.data[idx], (x,), vjp)
 
 
-def _accumulate_gathered(x, idx, g):
-    """Add to `x` the gradient `g` of its rows gathered by `idx`, row-sparse (see take_rows)."""
+def _accumulate_gathered(r, idx, g):
+    """Add to record `r` the gradient `g` of its rows gathered by `idx`, row-sparse (see take_rows)."""
     # in-range negative indices name the rows they read
-    rows, inverse = np.unique(idx.reshape(-1) % x.shape[0], return_inverse=True)
-    values = np.zeros((rows.size, x.shape[1]))
-    np.add.at(values, inverse, g.reshape(inverse.size, x.shape[1]))
-    _accumulate_rows(x, rows, values)
+    rows, inverse = np.unique(idx.reshape(-1) % r.shape[0], return_inverse=True)
+    values = np.zeros((rows.size, r.shape[1]))
+    np.add.at(values, inverse, g.reshape(inverse.size, r.shape[1]))
+    _accumulate_rows(r, rows, values)
 
 
 def embed_rows(table, ids, mask, contexts=None, ctx_dim=0, rate=0.0, rng=None):
@@ -692,7 +673,7 @@ def embed_rows(table, ids, mask, contexts=None, ctx_dim=0, rate=0.0, rng=None):
             row[: len(rows), d:] = rows
     mask = np.asarray(mask, dtype=np.float64)[..., None]
     buf *= mask
-    kept, rt = None, _grad_record(table)
+    kept, rt = None, table._record
     if rate != 0.0:
         scale = rng.random(buf.shape)
         drawn = scale >= rate
@@ -713,7 +694,7 @@ def tile_rows(x, n):
     """Repeat a 1 x d row (one per item of a batch) n times; gradient sums the copies."""
     if x.ndim < 2 or x.shape[-2] != 1:
         raise ShapeError(f"tile_rows expects (..., 1, d) rows, got {x.shape}")
-    rx = _grad_record(x)
+    rx = x._record
 
     def vjp(g):
         _accumulate(rx, g.sum(axis=-2, keepdims=True))
@@ -729,7 +710,7 @@ def dropout(x, rate, rng):
     """
     if rate == 0.0:
         return x
-    kept, rx = rng.random(x.shape) >= rate, _grad_record(x)
+    kept, rx = rng.random(x.shape) >= rate, x._record
 
     def vjp(g):
         _accumulate(rx, g * (kept / (1.0 - rate)))

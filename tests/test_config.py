@@ -114,6 +114,12 @@ class TestFileAndOverrides:
         with pytest.raises(ConfigError):
             TrainConfig.from_dict({"no_fusion": "maybe"})
 
+    @pytest.mark.parametrize("field", ["epochs", "hidden", "seed", "batch_size", "max_len", "lr", "task", "pool"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_boolean_for_a_field_that_is_not_boolean_is_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field}: cannot read the boolean {value}"):
+            TrainConfig.from_dict({field: value})
+
     def test_roundtrip_through_dict(self):
         cfg = TrainConfig(hidden=64, no_alignment=True, seed=9)
         again = TrainConfig.from_dict({k: str(v) for k, v in cfg.to_dict().items()})

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import tracemalloc
 from unittest import mock
 
@@ -50,6 +51,13 @@ class TestVocab:
         v.save(path)
         loaded = Vocab.load(path)
         assert loaded.id_to_token == v.id_to_token
+
+
+    def test_a_repeated_token_is_a_parse_error_naming_the_file_and_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<pad>\n<unk>\na\nb\na\n<pad>\nc\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:5: token 'a' repeats line 3")):
+            Vocab.load(path)
 
 
 class TestStaticVectors:

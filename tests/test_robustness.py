@@ -258,8 +258,10 @@ class TestCheckpointFile:
             (lambda m: m["config"].update(dropout=1.5), "dropout"),
             (lambda m: m["config"].update(batch_size=0), "batch_size"),
             (lambda m: m.update(epoch="x"), "epoch 'x'"),
+            (lambda m: m["config"].update(epochs=True), "epochs: cannot read the boolean True"),
+            (lambda m: m["config"].update(seed=False), "seed: cannot read the boolean False"),
         ],
-        ids=["null-config", "list-config", "unknown-task", "dropout-out-of-range", "zero-batch-size", "epoch-not-an-integer"],
+        ids=["null-config", "list-config", "unknown-task", "dropout-out-of-range", "zero-batch-size", "epoch-not-an-integer", "epochs-true", "seed-false"],
     )
     def test_a_manifest_config_or_epoch_that_fails_its_checks_exits_2_naming_the_file(self, tmp_path, capsys, ck_blob, edit, culprit):
         path = _write(tmp_path, "ck.bin", oracles.edit_manifest(ck_blob, edit))
@@ -423,6 +425,14 @@ class TestTextInputs:
         path = _write(tmp_path, "input.txt", content)
         argv = ["train", "--train", train_tsv, "--out", tmp_path / "run", "--quiet", *TINY, "--static_dim", "2", flag, path]
         _assert_cli_fails(code, f"{path}:{line}: not valid UTF-8", *argv)
+
+
+    def test_a_vocab_file_repeating_a_token_exits_2_naming_the_line(self, tmp_path):
+        train_tsv = tmp_path / "train.tsv"
+        write_tsv(train_tsv, make_classification_pairs(8, seed=5))
+        path = _write(tmp_path, "vocab.txt", b"<pad>\n<unk>\na\nb\na\n<pad>\nc\n")
+        argv = ["train", "--train", train_tsv, "--out", tmp_path / "run", "--quiet", *TINY, "--vocab", path]
+        _assert_cli_fails(2, f"{path}:5: token 'a' repeats line 3", *argv)
 
 
 class TestNonFiniteWeights:

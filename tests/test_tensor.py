@@ -1,6 +1,8 @@
 import re
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -349,16 +351,16 @@ class TestBoolMasks:
         for op, at in ((T.relu, 0.0), (lambda t: T.clamp_min(t, floor), floor)):
             leaf = T.parameter(x)
             out = op(leaf)
-            out._vjp(g)
-            assert leaf._grad.tobytes() == oracles.above_grad_float_output(g, out.data, at).tobytes()
+            out._record._vjp(g)
+            assert leaf._record._grad.tobytes() == oracles.above_grad_float_output(g, out.data, at).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(hnp.arrays(np.float64, (3, 4, 5), elements=_EDGE_FLOATS), st.sampled_from([0.1, 0.25, 0.4, 0.75]), st.integers(0, 2**32 - 1))
     def test_dropout(self, g, rate, seed):
         leaf = T.parameter(np.ones(g.shape))
-        T.dropout(leaf, rate, np.random.default_rng(seed))._vjp(g)
+        T.dropout(leaf, rate, np.random.default_rng(seed))._record._vjp(g)
         draws = np.random.default_rng(seed).random(g.shape)
-        assert leaf._grad.tobytes() == oracles.dropout_grad_float_factor(g, draws, rate).tobytes()
+        assert leaf._record._grad.tobytes() == oracles.dropout_grad_float_factor(g, draws, rate).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.sampled_from([0.0, 0.3]), st.sampled_from([0, 2]), st.integers(0, 2**32 - 1))
@@ -367,10 +369,10 @@ class TestBoolMasks:
         contexts = EMBED_CONTEXTS if ctx_dim else None
         out = T.embed_rows(table, EMBED_IDS, EMBED_MASK, contexts, ctx_dim, rate, np.random.default_rng(seed))
         g = data.draw(hnp.arrays(np.float64, out.shape, elements=_EDGE_FLOATS))
-        out._vjp(g)
+        out._record._vjp(g)
         draws = np.random.default_rng(seed).random(out.shape) if rate else None
         want = T.parameter(np.zeros(table.shape))
-        T._accumulate_gathered(want, np.asarray(EMBED_IDS), oracles.embed_rows_grad_float_mask(g, draws, EMBED_MASK, rate, 3))
+        T._accumulate_gathered(want._record, np.asarray(EMBED_IDS), oracles.embed_rows_grad_float_mask(g, draws, EMBED_MASK, rate, 3))
         (rows, values), (want_rows, want_values) = T._grad_rows(table), T._grad_rows(want)
         assert rows.tolist() == want_rows.tolist() and values.tobytes() == want_values.tobytes()
 
@@ -547,6 +549,79 @@ class TestBackward:
         assert x.grad is not None
 
 
+def _nodes_built(monkeypatch):
+    """The (parents, output) of every node `_node` makes from now on."""
+    built, node = [], T._node
+
+    def spy(data, parents, vjp):
+        out = node(data, parents, vjp)
+        built.append((tuple(parents), out))
+        return out
+
+    monkeypatch.setattr(T, "_node", spy)
+    return built
+
+
+@pytest.mark.parametrize("op_name", OP_NAMES)
+def test_a_record_names_exactly_the_parents_that_need_a_gradient(monkeypatch, op_name):
+    fn, leaves = _case(op_name)
+    built = _nodes_built(monkeypatch)
+    for constant_at in range(len(leaves) + 1):  # each input a constant in turn, then none
+        inputs = [T.constant(leaf.data) if i == constant_at else leaf for i, leaf in enumerate(leaves)]
+        loss = T.sum_all(fn(inputs))
+        assert built, f"{op_name} built no node"
+        for parents, out in built:
+            assert all(p._record is None for p in parents if not p.requires_grad), "a constant parent has no record"
+            wanted = tuple(p._record for p in parents if p.requires_grad)
+            assert out._record is None if not wanted else out._record._parents == wanted
+        loss.backward()
+        assert all(t._record is None and t.grad is None for t in inputs if not t.requires_grad)
+        built.clear()
+
+
+class TestRecords:
+    """A tensor has a record exactly when it requires a gradient."""
+
+    def test_a_constant_has_no_record_before_during_or_after_a_graph(self, rng):
+        c, w = T.constant(rng.normal(size=(3, 3))), T.parameter(rng.normal(size=(3, 3)))
+        assert c._record is None and w._record is not None
+        loss = T.sum_all(T.mul(T.tanh(T.matmul(c, w)), c))
+        assert c._record is None
+        loss.backward()
+        assert c._record is None and c.grad is None and w.grad is not None
+
+    def test_graphs_on_two_threads_leave_a_shared_constant_without_a_record(self, rng):
+        c = T.constant(rng.normal(size=(4, 4)))
+        start = threading.Barrier(2, timeout=30)
+
+        def build(seed):
+            w = T.parameter(np.random.default_rng(seed).normal(size=(4, 4)))
+            start.wait()
+            losses = [T.sum_all(T.mul(T.tanh(T.matmul(c, w)), c)) for _ in range(200)]
+            for loss in losses:
+                loss.backward()
+            return w.grad
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            grads = list(pool.map(build, [1, 2]))
+        assert c._record is None
+        for seed, got in zip([1, 2], grads):
+            w = T.parameter(np.random.default_rng(seed).normal(size=(4, 4)))
+            T.sum_all(T.mul(T.tanh(T.matmul(c, w)), c)).backward()
+            assert got.tobytes() == w.grad.tobytes()
+
+    def test_backward_from_a_constant_scalar_does_nothing(self):
+        loss = T.sum_all(T.constant(np.ones(3)))
+        loss.backward()
+        assert loss._record is None and loss.grad is None
+
+    def test_setting_a_constants_grad_raises(self):
+        c = T.constant(np.ones(3))
+        with pytest.raises(GraphError, match="constant"):
+            c.grad = np.ones(3)
+        assert c._record is None and c.grad is None
+
+
 class TestGradCheckHarness:
     def test_reports_max_relative_error(self, rng):
         report = T.grad_check(lambda ins: T.tanh(ins[0]), [T.parameter(rng.normal(size=4))])
@@ -562,10 +637,10 @@ class TestGradCheckHarness:
 
 def dense_take_rows(x, indices):
     """take_rows with the original dense scatter-add backward (reference)."""
-    idx = np.asarray(indices, dtype=np.intp)
+    idx, rx = np.asarray(indices, dtype=np.intp), x._record
 
     def vjp(g):
-        T._accumulate(x, oracles.take_rows_dense_grad(x.shape[0], idx, g))
+        T._accumulate(rx, oracles.take_rows_dense_grad(x.shape[0], idx, g))
 
     return T._node(x.data[idx], (x,), vjp)
 
@@ -580,10 +655,11 @@ def _tap(x, sink):
     Backward frees an interior node's gradient once its vjp has fired, so
     a test reads an interior gradient through a tap.
     """
+    rx = x._record
 
     def vjp(g):
         sink.append(g)
-        T._accumulate(x, g)
+        T._accumulate(rx, g)
 
     return T._node(x.data, (x,), vjp)
 
@@ -701,7 +777,7 @@ class TestEmbedRows:
             outs = _embed_sides(embed, table, contexts, ctx_dim, rate, draws)
             run = [out.data.tobytes() for out in outs] + [draws.bit_generator.state]
             if frozen:
-                assert not any(out.requires_grad or out._vjp is not None for out in outs), "a frozen table gives constants"
+                assert all(out._record is None for out in outs), "a frozen table gives constants"
             else:
                 w = np.random.default_rng(seed).normal(size=outs[0].shape)
                 loss = T.add(T.sum_all(T.mul(T.tanh(outs[0]), T.constant(w))), T.sum_all(T.tanh(outs[1])))
@@ -817,6 +893,6 @@ class TestRowSparseSequences:
             gathered = np.concatenate([np.ravel(args[0]) % n_rows for _, *args in events])
             assert rows.tolist() == np.unique(gathered).tolist(), "sorted and unique"
             assert values.shape == (rows.size, d)
-            assert T._grad_rows(leaf) is pair and leaf._grad is None, "reading the pair changes nothing"
+            assert T._grad_rows(leaf) is pair and leaf._record._grad is None, "reading the pair changes nothing"
             assert values.tobytes() == want[rows].tobytes()
         assert leaf.grad.tobytes() == want.tobytes()

@@ -179,7 +179,7 @@ def _clip_cases(draw):
 def _pair_and_flush(shape, rows, values, dense):
     """Two parameter dicts holding the same gradients: the table's as a row pair, and flushed dense."""
     pair = {"table": T.parameter(np.zeros(shape)), "w": T.parameter(np.zeros(dense.shape))}
-    T._accumulate_rows(pair["table"], rows, values.copy())
+    T._accumulate_rows(pair["table"]._record, rows, values.copy())
     flushed = {"table": T.parameter(np.zeros(shape)), "w": T.parameter(np.zeros(dense.shape))}
     flushed["table"].grad = np.zeros(shape)
     flushed["table"].grad[rows] = values
@@ -235,12 +235,12 @@ class TestClipNorm:
     def test_zero_rows_and_zero_tensors_leave_the_norm(self, rng):
         values = rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-20, 20, size=(5, 1))
         bare = {"table": T.parameter(np.zeros((50, 7)))}
-        T._accumulate_rows(bare["table"], np.array([3, 8, 20, 21, 40]), values)
+        T._accumulate_rows(bare["table"]._record, np.array([3, 8, 20, 21, 40]), values)
         padded_values = np.zeros((8, 7))
         padded_values[[0, 2, 4, 5, 7]] = values
         padded_values[1, 3] = -0.0
         padded = {"table": T.parameter(np.zeros((50, 7))), "zero": T.parameter(np.zeros((4, 3)))}
-        T._accumulate_rows(padded["table"], np.array([3, 5, 8, 11, 20, 21, 30, 40]), padded_values)
+        T._accumulate_rows(padded["table"]._record, np.array([3, 5, 8, 11, 20, 21, 30, 40]), padded_values)
         padded["zero"].grad = np.array([[0.0, -0.0, 0.0]] * 4)
         assert _bits(clip_gradients(bare, 0.0)) == _bits(clip_gradients(padded, 0.0))
 
@@ -497,7 +497,7 @@ class TestTraining:
         big, poisoned, table = T.parameter(np.zeros(3)), T.parameter(np.zeros(3)), T.parameter(np.zeros((4, 2)))
         big.grad = np.array([-7.0, 1.0, 0.0])
         poisoned.grad = np.array([0.5, np.nan, 0.0])
-        T._accumulate_rows(table, np.array([1, 3]), np.array([[2.0, np.nan], [1.0, 1.0]]))
+        T._accumulate_rows(table._record, np.array([1, 3]), np.array([[2.0, np.nan], [1.0, 1.0]]))
         assert trainer_mod._max_abs_grad({"big": big}) == 7.0
         for params in ({"big": big, "poisoned": poisoned}, {"poisoned": poisoned, "big": big}, {"big": big, "table": table}):
             assert np.isnan(trainer_mod._max_abs_grad(params)), list(params)
