@@ -24,7 +24,8 @@ from pathlib import Path
 
 
 def _clean(text):
-    return text.replace("\t", " ").replace("\n", " ").strip()
+    # read_dataset splits lines as text mode does, so a "\r" would end the record too
+    return text.replace("\t", " ").replace("\n", " ").replace("\r", " ").strip()
 
 
 def convert_snli(src, out):

@@ -160,6 +160,9 @@ def _from_manifest(fh, path, size, manifest):
     if type(epoch) is not int or epoch < 0:
         raise ParseError(f"{path}: epoch {epoch!r} is not a non-negative integer")
     tokens = manifest["vocab"]
+    for i, token in enumerate(tokens):
+        if not isinstance(token, str):
+            raise ParseError(f"{path}: vocabulary entry {i} is {token!r}, not a string")
     vocab = Vocab(tokens[2:])
     if vocab.id_to_token != tokens:
         raise ParseError(f"{path}: vocabulary in manifest is not in canonical order")

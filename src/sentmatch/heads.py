@@ -56,8 +56,6 @@ def head_forward(pooled, w, b, task_kind):
     row is multiplied as a single row is, so a batch gives each item
     the 1 x width product bit for bit.
     """
-    if pooled.shape[-1] != w.shape[0]:
-        raise DataError(f"pooled width {pooled.shape} does not match head weights {w.shape}")
     rows = pooled.size // pooled.shape[-1]
     out = T.reshape(T.matmul(pooled, w), (rows, w.shape[1]))
     pre = T.tanh(T.add(out, T.tile_rows(b, rows)))

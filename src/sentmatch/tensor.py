@@ -441,14 +441,7 @@ def mask_rows(x, mask):
 
 
 def relu(x):
-    out_data, rx = np.maximum(x.data, 0.0), x._record
-    # exactly where x > 0, NaN included; a graph-free forward has no vjp to read it
-    pos = None if rx is None else out_data > 0.0
-
-    def vjp(g):
-        _accumulate(rx, g * pos)
-
-    return _node(out_data, (x,), vjp)
+    return clamp_min(x, 0.0)
 
 
 def tanh(x):
@@ -486,7 +479,8 @@ def log(x):
 
 def clamp_min(x, floor):
     out_data, rx = np.maximum(x.data, floor), x._record
-    pos = None if rx is None else out_data > floor  # exactly where x > floor, NaN included
+    # exactly where x > floor, NaN included; a graph-free forward has no vjp to read it
+    pos = None if rx is None else out_data > floor
 
     def vjp(g):
         _accumulate(rx, g * pos)

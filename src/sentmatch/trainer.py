@@ -12,6 +12,7 @@ the loss history and the resulting checkpoint bitwise.
 from __future__ import annotations
 
 import contextvars
+import dataclasses
 import math
 import mmap
 import os
@@ -32,7 +33,6 @@ from .model import MatchModel, init_params
 
 @dataclass
 class EvalReport:
-    task: str
     metrics: dict
     fingerprint: str
 
@@ -237,10 +237,9 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
     adam_t = 0
 
     history = []
+    # once an epoch is best, best_ck is None while the live weights are still that epoch's;
+    # they are copied only before an Adam step overwrites them
     best_metric, best_epoch, best_ck = -np.inf, -1, None
-    # the live weights are the best epoch's: copied only before an Adam step overwrites them
-    best_is_live = False
-    since_best = 0
     # each split is tokenized once; epochs only reorder the training pairs
     tokenized = tokenize_pairs(train_pairs, vocab, cfg.effective_max_len)[0]
     if spec.kind == "rank":
@@ -272,8 +271,8 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
                     f"loss={value!r}, max|grad|={_max_abs_grad(params)!r}"
                 )
             clip_gradients(params, cfg.grad_clip)
-            if best_is_live:
-                best_ck, best_is_live = _snapshot(model, best_epoch, vocab), False
+            if best_ck is None and best_epoch >= 0:
+                best_ck = _snapshot(model, best_epoch, vocab)
             adam_t += 1
             try:
                 adam_step(params, m_state, v_state, adam_t, cfg, live)
@@ -295,16 +294,12 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
         if log is not None:
             log("epoch {epoch}: loss={train_loss:.4f}".format(**record) + (f" dev={metric:.4f}" if dev_pairs is not None else ""))
         if metric > best_metric:
-            best_metric, best_epoch, since_best = metric, epoch, 0
-            best_ck, best_is_live = None, True
-        else:
-            since_best += 1
-            if cfg.early_stop_patience > 0 and since_best >= cfg.early_stop_patience:
-                break
+            best_metric, best_epoch, best_ck = metric, epoch, None
+        elif cfg.early_stop_patience > 0 and epoch - best_epoch >= cfg.early_stop_patience:
+            break
     if best_ck is None:
         # epoch 0 improves on -inf, so the best epoch's weights are the live ones; no step follows
-        shared = {name: T.Tensor(t.data, requires_grad=t.requires_grad) for name, t in params.items()}
-        best_ck = Checkpoint(params=shared, epoch=best_epoch, config=cfg, vocab=vocab)
+        best_ck = _snapshot(model, best_epoch, vocab, copy=False)
     return TrainResult(history, best_epoch, best_metric, best_ck, model)
 
 
@@ -377,9 +372,8 @@ def forward_batches(model, batches):
     from concurrent.futures import ThreadPoolExecutor
 
     outputs = [None] * len(batches)
-    pool = ThreadPoolExecutor(1)
     pending = None  # (index, future) of the batch on the helper
-    try:
+    with ThreadPoolExecutor(1) as pool:
         for i, batch in enumerate(batches):
             if pending is None and helped[i]:
                 # a new thread starts in an empty context, and numpy keeps its errstate there
@@ -394,8 +388,6 @@ def forward_batches(model, batches):
                     outputs[j] = future.result()
         if pending is not None:
             outputs[pending[0]] = pending[1].result()
-    finally:
-        pool.shutdown(cancel_futures=True)
     return outputs
 
 
@@ -415,13 +407,13 @@ def _evaluate_batches(model, batches):
         for batch, out in zip(batches, outputs):
             preds.extend(np.argmax(out, axis=1).tolist())
             labels.extend(batch.labels.tolist())
-        return EvalReport(cfg.task, {"acc": accuracy(preds, labels)}, cfg.fingerprint())
+        return EvalReport({"acc": accuracy(preds, labels)}, cfg.fingerprint())
     scored = {}
     for batch, out in zip(batches, outputs):
         for pair, score, label in zip(batch.items, out[:, 0].tolist(), batch.labels.tolist()):
             scored.setdefault(pair.group_id, []).append((score, label == 1))
     m, r = map_mrr(list(scored.values()))
-    return EvalReport(cfg.task, {"map": m, "mrr": r}, cfg.fingerprint())
+    return EvalReport({"map": m, "mrr": r}, cfg.fingerprint())
 
 
 def evaluate_checkpoint(ck, pairs, provider=None):
@@ -429,10 +421,10 @@ def evaluate_checkpoint(ck, pairs, provider=None):
     return evaluate(model, pairs, ck.vocab)
 
 
-def _snapshot(model, epoch, vocab):
-    # adam_step writes through the model's parameter arrays, so the snapshot copies them;
-    # train() takes one only when a step is about to overwrite the best epoch's weights
-    params = {name: T.Tensor(t.data.copy(), requires_grad=t.requires_grad) for name, t in model.params.items()}
+def _snapshot(model, epoch, vocab, copy=True):
+    # adam_step writes through the model's parameter arrays: train() copies them only when a step is
+    # about to overwrite the best epoch's weights, and shares them (copy=False) when no step follows
+    params = {name: T.Tensor(t.data.copy() if copy else t.data, requires_grad=t.requires_grad) for name, t in model.params.items()}
     return Checkpoint(params=params, epoch=epoch, config=model.cfg, vocab=vocab)
 
 
@@ -448,9 +440,8 @@ def run_ablations(base_cfg, train_pairs, dev_pairs, static_matrix=None, provider
     rows = []
     full_metric = None
     for variant in ABLATION_ORDER:
-        cfg = TrainConfig.from_dict(base_cfg.to_dict())
-        for flag in TrainConfig.ABLATION_FLAGS:
-            setattr(cfg, flag, flag == variant)  # "full" is no flag: all off
+        # "full" is no flag: all off
+        cfg = dataclasses.replace(base_cfg, **{flag: flag == variant for flag in TrainConfig.ABLATION_FLAGS})
         result = train(cfg, train_pairs, dev_pairs, static_matrix=static_matrix, provider=provider)
         metric = result.best_metric
         if variant == "full":

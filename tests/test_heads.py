@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sentmatch import tensor as T
-from sentmatch.errors import DataError
+from sentmatch.errors import DataError, ShapeError
 from sentmatch.heads import cross_entropy, head_forward, hinge_loss, pool_meanmax, pool_splice
 
 import oracles
@@ -68,7 +68,7 @@ class TestHeadForward:
         assert -1.0 <= out.data[0, 0] <= 1.0
 
     def test_width_mismatch_raises(self, rng):
-        with pytest.raises(DataError):
+        with pytest.raises(ShapeError, match=r"\(1, 8\) x \(6, 3\)"):
             head_forward(T.constant(rng.normal(size=(1, 8))), T.constant(rng.normal(size=(6, 3))), T.constant(np.zeros((1, 3))), "classify")
 
 

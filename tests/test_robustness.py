@@ -260,8 +260,21 @@ class TestCheckpointFile:
             (lambda m: m.update(epoch="x"), "epoch 'x'"),
             (lambda m: m["config"].update(epochs=True), "epochs: cannot read the boolean True"),
             (lambda m: m["config"].update(seed=False), "seed: cannot read the boolean False"),
+            (lambda m: m["vocab"].__setitem__(2, None), "vocabulary entry 2 is None, not a string"),
+            (lambda m: m["vocab"].__setitem__(2, 7), "vocabulary entry 2 is 7, not a string"),
         ],
-        ids=["null-config", "list-config", "unknown-task", "dropout-out-of-range", "zero-batch-size", "epoch-not-an-integer", "epochs-true", "seed-false"],
+        ids=[
+            "null-config",
+            "list-config",
+            "unknown-task",
+            "dropout-out-of-range",
+            "zero-batch-size",
+            "epoch-not-an-integer",
+            "epochs-true",
+            "seed-false",
+            "vocab-null",
+            "vocab-number",
+        ],
     )
     def test_a_manifest_config_or_epoch_that_fails_its_checks_exits_2_naming_the_file(self, tmp_path, capsys, ck_blob, edit, culprit):
         path = _write(tmp_path, "ck.bin", oracles.edit_manifest(ck_blob, edit))

@@ -1,5 +1,7 @@
 """The scripts under scripts/ run at tiny sizes and write TSVs that `read_dataset` reads back."""
 
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +14,13 @@ from sentmatch.synthetic import make_classification_pairs, make_ranking_groups
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(script, *args):
+def _run(script, *args, env=None):
     proc = subprocess.run(
         [sys.executable, ROOT / "scripts" / script, *map(str, args)],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -61,6 +64,15 @@ def test_convert_datasets_writes_the_normalized_schema(tmp_path, dataset):
     assert read_dataset(out, dataset) == want
 
 
+def test_convert_snli_maps_a_carriage_return_to_a_space(tmp_path):
+    # read_dataset splits lines as text mode does, where a lone "\r" ends a line
+    src = tmp_path / "release.jsonl"
+    src.write_text('{"gold_label": "entailment", "sentence1": "a man\\rsleeps", "sentence2": "a person rests"}\n', encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    _run("convert_datasets.py", "snli", "--in", src, "--out", out)
+    assert read_dataset(out, "snli") == [RawPair(0, "a man sleeps", "a person rests", None, 1)]
+
+
 @pytest.mark.parametrize(
     "args, task, rows",
     [
@@ -82,3 +94,16 @@ def test_run_desk_experiment_trains_and_evaluates(tmp_path):
     assert len(read_dataset(tmp_path / "dev.tsv", "snli")) == 12
     assert (tmp_path / "run" / "checkpoint.bin").exists()
     assert "fingerprint=full" in printed and "acc=" in printed
+
+
+def test_artefact_digests_prints_the_same_line_per_workload_twice_and_leaves_no_files(tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    first = _run("artefact_digests.py", "--seed", "3", "--tiny", env=env)
+    assert _run("artefact_digests.py", "--seed", "3", "--tiny", env=env) == first
+    lines = first.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == ["desk_snli", "paper_snli", "wikiqa_rank"]
+    artefacts = ["checkpoint", "history"] + [f"{c}.{s}" for c in ("train", "eval", "predict") for s in ("stdout", "stderr")]
+    for line in lines:
+        fields = dict(field.split("=") for field in line.split()[1:])
+        assert list(fields) == artefacts and all(re.fullmatch("[0-9a-f]{40}", v) for v in fields.values()), line
+    assert list(tmp_path.iterdir()) == []

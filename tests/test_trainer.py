@@ -564,12 +564,19 @@ class TestTraining:
         assert histories[0] == histories[1] and blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("epochs, copies", [(3, 2), (1, 0)])
-    def test_best_epoch_is_copied_only_before_a_step_overwrites_it(self, spy, epochs, copies):
-        spy(trainer_mod, "_snapshot")
+    def test_best_epoch_is_copied_only_before_a_step_overwrites_it(self, monkeypatch, epochs, copies):
+        built, snapshot = [], trainer_mod._snapshot
+
+        def counted(model, *args, **kwargs):
+            ck = snapshot(model, *args, **kwargs)
+            built.append(any(np.shares_memory(t.data, model.params[n].data) for n, t in ck.params.items()))
+            return ck
+
+        monkeypatch.setattr(trainer_mod, "_snapshot", counted)
         result = train(_tiny_cfg(epochs=epochs, dropout=0.0), _classify_pairs(48, seed=1))
         losses = [h["train_loss"] for h in result.history]
         assert losses == sorted(losses, reverse=True) and len(set(losses)) == epochs, "every epoch improves"
-        assert spy.calls == ["_snapshot"] * copies
+        assert built.count(False) == copies, "checkpoints that share no array with the model"
         assert result.best_epoch == result.checkpoint.epoch == epochs - 1
         assert all(result.checkpoint.params[n].data is p.data for n, p in result.model.params.items())
 
@@ -597,6 +604,15 @@ class TestTraining:
         dev = _classify_pairs(12, seed=7)
         result = train(_tiny_cfg(epochs=12, early_stop_patience=2, lr=1e-6), pairs, dev_pairs=dev)
         assert len(result.history) < 12
+
+    @pytest.mark.parametrize("patience", [1, 2, 3])
+    def test_early_stopping_stops_patience_epochs_after_the_best(self, patience):
+        pairs = _classify_pairs(24, seed=7)
+        dev = _classify_pairs(12, seed=8)
+        result = train(_tiny_cfg(epochs=12, early_stop_patience=patience, lr=0.003), pairs, dev_pairs=dev)
+        assert result.best_epoch > 0, "a later best epoch, not the first"
+        assert len(result.history) == result.best_epoch + patience + 1 < 12
+        assert all(h["acc"] <= result.best_metric for h in result.history[result.best_epoch + 1 :])
 
     @pytest.mark.parametrize("task", ["snli", "wikiqa"])
     def test_memory_peak_does_not_grow_with_steps(self, task):
