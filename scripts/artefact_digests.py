@@ -9,7 +9,7 @@ from --seed. Then `sentmatch train` (with --dev), `eval` and `predict`
 on the dev split run as separate processes, with BLAS pinned to one
 thread and the workload's config passed as flags, as the benchmark
 runs it (the training seed is the config's). One line per workload
-gives the sha1 of checkpoint.bin, of history.json, and of each
+gives the sha1 of checkpoint.bin, history.json and config.txt, and of each
 command's stdout and stderr. Two checkouts that print the same lines
 wrote the same bytes: run it on each and diff the outputs. Every file
 is written under a temporary directory that is removed afterwards. A
@@ -64,6 +64,7 @@ def digest_line(wl, seed, env):
         streams = {"train": _cli(train, env)}
         fields["checkpoint"] = _sha1((out / "checkpoint.bin").read_bytes())
         fields["history"] = _sha1((out / "history.json").read_bytes())
+        fields["config"] = _sha1((out / "config.txt").read_bytes())
         for command in ("eval", "predict"):
             streams[command] = _cli([command, "--checkpoint", str(out / "checkpoint.bin"), "--data", str(inputs.dev), *contextual], env)
         for command, (stdout, stderr) in streams.items():

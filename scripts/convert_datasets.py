@@ -14,6 +14,10 @@ Supported source formats:
            DocumentTitle, SentenceID, Sentence, Label
            (WikiQA-{train,dev,test}.tsv)
 
+Blank lines, rows with the wrong column count and labels outside the
+task's label set (SNLI's "-" included) are skipped. A record that cannot
+be read exits 2 naming the file and line; the output is written atomically.
+
     python3 scripts/convert_datasets.py snli --in snli_1.0_train.jsonl --out data/snli_train.tsv
 """
 
@@ -22,97 +26,85 @@ import json
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-def _clean(text):
-    # read_dataset splits lines as text mode does, so a "\r" would end the record too
-    return text.replace("\t", " ").replace("\n", " ").replace("\r", " ").strip()
+from sentmatch.cli import run
+from sentmatch.data import TASKS
+from sentmatch.embedding import _text_lines, _write_atomic
+from sentmatch.errors import DataError
 
-
-def convert_snli(src, out):
-    n = 0
-    with open(src, encoding="utf-8") as fin, open(out, "w", encoding="utf-8") as fout:
-        for line in fin:
-            rec = json.loads(line)
-            label = rec.get("gold_label", "-")
-            if label not in ("entailment", "contradiction", "neutral"):
-                continue  # "-" means the annotators disagreed
-            fout.write(f"{label}\t{_clean(rec['sentence1'])}\t{_clean(rec['sentence2'])}\n")
-            n += 1
-    return n
-
-
-def convert_scitail(src, out):
-    n = 0
-    with open(src, encoding="utf-8") as fin, open(out, "w", encoding="utf-8") as fout:
-        for line in fin:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                continue
-            premise, hypothesis, label = parts
-            if label not in ("entails", "neutral"):
-                continue
-            fout.write(f"{label}\t{_clean(premise)}\t{_clean(hypothesis)}\n")
-            n += 1
-    return n
-
-
-def convert_quora(src, out):
-    n = 0
-    with open(src, encoding="utf-8") as fin, open(out, "w", encoding="utf-8") as fout:
-        header = fin.readline().rstrip("\n").split("\t")
-        idx = {name: i for i, name in enumerate(header)}
-        for line in fin:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(header):
-                continue
-            label = parts[idx["is_duplicate"]]
-            if label not in ("0", "1"):
-                continue
-            fout.write(f"{label}\t{_clean(parts[idx['question1']])}\t{_clean(parts[idx['question2']])}\n")
-            n += 1
-    return n
-
-
-def convert_wikiqa(src, out):
-    n = 0
-    with open(src, encoding="utf-8") as fin, open(out, "w", encoding="utf-8") as fout:
-        header = fin.readline().rstrip("\n").split("\t")
-        idx = {name: i for i, name in enumerate(header)}
-        for line in fin:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(header):
-                continue
-            label = parts[idx["Label"]]
-            if label not in ("0", "1"):
-                continue
-            question = _clean(parts[idx["Question"]])
-            answer = _clean(parts[idx["Sentence"]])
-            group = parts[idx["QuestionID"]]
-            fout.write(f"{label}\t{question}\t{answer}\t{group}\n")
-            n += 1
-    return n
-
-
-CONVERTERS = {
-    "snli": convert_snli,
-    "scitail": convert_scitail,
-    "quora": convert_quora,
-    "wikiqa": convert_wikiqa,
+# dataset -> (the record's fields: None for one JSON object a line, "header" for columns the first
+# line names, else the column names; then the label, sentence a, sentence b and group id fields)
+FORMATS = {
+    "snli": (None, "gold_label", "sentence1", "sentence2", None),
+    "scitail": (("premise", "hypothesis", "label"), "label", "premise", "hypothesis", None),
+    "quora": ("header", "is_duplicate", "question1", "question2", None),
+    "wikiqa": ("header", "Label", "Question", "Sentence", "QuestionID"),
 }
+
+
+def _json_record(line, _names):
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON ({exc})") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    return record
+
+
+def _tsv_record(line, names):
+    parts = line.split("\t")
+    return dict(zip(names, parts)) if len(parts) == len(names) else None
+
+
+def _text(record, key):
+    value = record.get(key)
+    if not isinstance(value, str):
+        raise ValueError(f"record has no string field {key!r}")
+    # read_dataset splits lines as text mode does, so a "\r" would end the record too
+    return value.replace("\t", " ").replace("\n", " ").replace("\r", " ").strip()
+
+
+def convert(dataset, src, out):
+    """Write `src`, a release in `dataset`'s format, to `out` as normalized TSV; returns the record count."""
+    names, label_key, a_key, b_key, group_key = FORMATS[dataset]
+    read = _json_record if names is None else _tsv_record
+    labels = TASKS[dataset].labels
+    n = 0
+    with _write_atomic(out) as fh:
+        for line_no, line in _text_lines(src, DataError):
+            if not line.strip():
+                continue
+            try:
+                if names == "header":
+                    names = line.split("\t")
+                    missing = [key for key in (label_key, a_key, b_key, group_key) if key and key not in names]
+                    if missing:
+                        raise ValueError(f"header has no column {missing[0]!r}")
+                    continue
+                record = read(line, names)
+                if record is None or record.get(label_key, "-") not in labels:
+                    continue
+                fields = [record[label_key], _text(record, a_key), _text(record, b_key)] + ([record[group_key]] if group_key else [])
+                fh.write(("\t".join(fields) + "\n").encode("utf-8"))
+            except ValueError as exc:  # a UnicodeEncodeError of a lone surrogate from JSON too
+                raise DataError(f"{src}:{line_no}: {exc}") from None
+            n += 1
+    return n
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("dataset", choices=sorted(CONVERTERS))
+    parser.add_argument("dataset", choices=sorted(FORMATS))
     parser.add_argument("--in", dest="src", required=True)
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    n = CONVERTERS[args.dataset](args.src, out)
+    n = convert(args.dataset, args.src, out)
     print(f"wrote {n} records to {out}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(main))

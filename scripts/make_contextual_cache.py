@@ -18,6 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sentmatch.cli import run
 from sentmatch.data import read_dataset, task_spec, tokenize_pairs
 from sentmatch.embedding import StubContextualProvider, Vocab, write_contextual_cache
 
@@ -55,4 +56,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(main))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sentmatch.cli import main as cli_main
+from sentmatch.cli import main as cli_main, run
 from sentmatch.synthetic import make_classification_pairs, write_tsv
 
 
@@ -48,16 +48,13 @@ def main():
     ]
     t0 = time.perf_counter()
     code = cli_main(["train", "--train", str(train_tsv), "--dev", str(dev_tsv), "--out", str(out / "run")] + common)
-    if code != 0:
-        return code
-    print(f"training took {time.perf_counter() - t0:.0f}s")
-    code = cli_main(["eval", "--checkpoint", str(out / "run" / "checkpoint.bin"), "--data", str(dev_tsv)])
-    if code != 0:
-        return code
-    if args.ablate:
+    if code == 0:
+        print(f"training took {time.perf_counter() - t0:.0f}s")
+        code = cli_main(["eval", "--checkpoint", str(out / "run" / "checkpoint.bin"), "--data", str(dev_tsv)])
+    if code == 0 and args.ablate:
         code = cli_main(["ablate", "--train", str(train_tsv), "--dev", str(dev_tsv), "--out", str(out / "ablate")] + common)
     return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(main))

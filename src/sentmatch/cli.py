@@ -30,10 +30,6 @@ from .model import MatchModel
 from .trainer import evaluate_checkpoint, forward_batches, run_ablations, train
 
 
-class UsageError(Exception):
-    pass
-
-
 def _out_path(raw):
     root = os.environ.get("SENTMATCH_OUT")
     path = Path(raw)
@@ -71,7 +67,7 @@ def _provider_for(cfg, contextual_arg):
     if cfg.effective_contextual_dim == 0:
         return None
     if contextual_arg is None:
-        raise UsageError("config asks for contextual vectors; pass --contextual stub or --contextual <cache file>")
+        raise ConfigError("config asks for contextual vectors; pass --contextual stub or --contextual <cache file>")
     if contextual_arg == "stub":
         return StubContextualProvider(cfg.contextual_dim, seed=cfg.seed)
     return CacheContextualProvider(contextual_arg)
@@ -223,28 +219,29 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
+def run(func, *args):
+    """`func(*args)`'s exit code, None read as 0: the one exit-code policy of the CLI and the scripts.
+
+    A failure prints one `error:` line and returns 1 for usage or config, 2 for data or OS, 3 for numerical.
+    """
     try:
         # a run checks finiteness itself (NumericalError), so numpy's own warnings only add noise
         with np.errstate(all="ignore"):
-            return args.func(args)
-    except (UsageError, ConfigError) as exc:
+            return func(*args) or 0
+    except SystemExit as exc:  # argparse has printed its usage message
+        return 0 if exc.code in (0, None) else 1
+    except (SentMatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SentMatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (DataError, OSError)) else 3 if isinstance(exc, NumericalError) else 1
+
+
+def _command(argv):
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def main(argv=None):
+    return run(_command, argv)
 
 
 if __name__ == "__main__":

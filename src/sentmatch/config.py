@@ -149,14 +149,16 @@ def _coerce(raw, target, key):
 
 
 def read_config_file(path):
-    """Parse `key = value` lines into a dict of raw strings."""
-    values = {}
+    """Parse `key = value` lines into a dict of raw strings; a key given twice is refused."""
+    values, first_line = {}, {}
     for line_no, line in _text_lines(path, ConfigError):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line.strip()!r}")
-        key, value = stripped.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"{path}:{line_no}: key {key!r} repeats line {first_line[key]}")
+        values[key], first_line[key] = value, line_no
     return values

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .embedding import _write_atomic
+
 PEOPLE = ["a man", "a woman", "a boy", "a girl", "a child", "a doctor", "a farmer", "an artist"]
 ANIMALS = ["a dog", "a cat", "a horse", "a bird", "a monkey"]
 VERBS = ["eats", "runs", "sleeps", "plays", "reads", "sings", "jumps", "walks", "swims", "works", "paints", "laughs"]
@@ -107,7 +109,8 @@ def make_ranking_groups(n_questions, candidates_per_question=4, seed=0):
 
 
 def write_tsv(path, rows):
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write each row as one tab-joined line, atomically: a failure midway leaves an earlier file intact."""
+    with _write_atomic(path) as fh:
         for row in rows:
-            fh.write("\t".join(row) + "\n")
+            fh.write(("\t".join(row) + "\n").encode("utf-8"))
 

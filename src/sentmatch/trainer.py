@@ -67,8 +67,9 @@ def _seed_rng(*entropy):
 def adam_step(params, state_m, state_v, t, cfg, live):
     """One bias-corrected Adam update over every trainable tensor.
 
-    Tensors without a gradient this step keep their value; their moments
-    still decay toward zero, matching the recurrences run with g = 0.
+    A tensor without a gradient this step runs the recurrences with
+    g = 0, bit for bit as an explicit zero gradient would: its moments
+    decay, and while they are non-zero its value still moves.
 
     The step consumes the gradients: each `p.grad` is None afterwards,
     released before the update allocates. `p.data` and the moment arrays
@@ -246,6 +247,10 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
         groups = group_by_question(tokenized)
     if dev_pairs is not None:
         dev_batches = build_batches(dev_pairs, vocab, spec, cfg.batch_size, shuffle_seed=None, max_len=cfg.effective_max_len)[0]
+        # refused before the first step, not after an epoch: accuracy needs a pair, MAP a positive
+        if not any(spec.kind == "classify" or (b.labels == 1).any() for b in dev_batches):
+            unit = "pair" if spec.kind == "classify" else "positive pair"
+            raise DataError(f"no dev score: the {len(dev_pairs)} dev records hold no {unit} with two non-empty sentences")
     for epoch in range(cfg.epochs):
         drop_rng = _seed_rng(cfg.seed, 2, epoch)
         if spec.kind == "classify":

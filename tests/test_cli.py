@@ -80,6 +80,30 @@ class TestTrainCommand:
         code = main(["train", "--train", str(train_path), "--config", str(cfg_file), "--out", str(tmp_path / "x")])
         assert code == 1
 
+    def test_a_config_file_repeating_a_key_is_a_usage_error(self, corpus, tmp_path, capsys):
+        train_path, _ = corpus
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("lr = 0.1\nlr = 0.2\n")
+        out = tmp_path / "run"
+        assert main(["train", "--train", str(train_path), "--config", str(cfg_file), "--out", str(out), "--quiet", *TINY]) == 1
+        assert capsys.readouterr().err == f"error: {cfg_file}:2: key 'lr' repeats line 1\n"
+        assert not out.exists()
+        # a flag still overrides a key the file gives once
+        cfg_file.write_text("lr = 0.1\n")
+        assert main(["train", "--train", str(train_path), "--config", str(cfg_file), "--out", str(out), "--quiet", *TINY, "--lr", "0.2"]) == 0
+        assert "lr = 0.2\n" in (out / "config.txt").read_text()
+
+    def test_a_dev_split_that_cannot_be_scored_exits_2_before_training(self, corpus, tmp_path, capsys):
+        train_path, _ = corpus
+        dev_path = tmp_path / "blank_dev.tsv"
+        dev_path.write_text("entailment\t\ta dog runs\nneutral\ta cat sleeps\t \n")
+        out = tmp_path / "run"
+        assert main(["train", "--train", str(train_path), "--dev", str(dev_path), "--out", str(out), *TINY]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no dev score: the 2 dev records hold no pair with two non-empty sentences\n"
+        assert "epoch 0" not in captured.out
+        assert not (out / "checkpoint.bin").exists()
+
     def test_config_file_plus_override_precedence(self, corpus, tmp_path):
         train_path, dev_path = corpus
         cfg_file = tmp_path / "c.cfg"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sentmatch.config import TrainConfig, read_config_file
@@ -105,6 +107,12 @@ class TestFileAndOverrides:
         values = read_config_file(path)
         cfg = TrainConfig.from_dict(values)
         assert cfg.hidden == 32 and cfg.lr == 0.01 and cfg.no_fusion is True
+
+    def test_a_repeated_key_is_refused_naming_both_lines(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("lr = 0.1\n# comment\nhidden = 8\n  lr=0.2  # again\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:4: key 'lr' repeats line 1$"):
+            read_config_file(path)
 
     def test_unknown_key_lists_valid_ones(self):
         with pytest.raises(ConfigError, match="valid keys"):

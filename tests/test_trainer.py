@@ -14,7 +14,7 @@ from sentmatch.checkpoint import load_checkpoint, save_checkpoint
 from sentmatch.config import TrainConfig
 from sentmatch.data import RawPair, build_vocab
 from sentmatch.embedding import StubContextualProvider, Vocab
-from sentmatch.errors import NumericalError
+from sentmatch.errors import DataError, NumericalError
 from sentmatch.metrics import map_mrr
 from sentmatch.synthetic import make_classification_pairs, make_ranking_groups
 import sentmatch.trainer as trainer_mod
@@ -64,6 +64,42 @@ class TestAdam:
             adam_step(params, m, v, t=t, cfg=cfg, live=live)
         np.testing.assert_array_equal(p.data, np.ones((2, 2)) * 5.0)
         np.testing.assert_array_equal(m["w"], np.zeros((2, 2)))
+
+    def test_no_gradient_is_bitwise_an_explicit_zero_gradient(self, rng):
+        # the recurrences still run with g = 0, so a tensor with non-zero moments moves
+        cfg = _tiny_cfg(lr=0.1)
+        start = rng.normal(size=(3, 4))
+        runs = []
+        for zero_grad in (False, True):
+            p = T.parameter(start.copy())
+            m, v, live = {"w": np.zeros((3, 4))}, {"w": np.zeros((3, 4))}, {}
+            p.grad = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+            adam_step({"w": p}, m, v, t=1, cfg=cfg, live=live)
+            after_one = p.data.copy()
+            p.grad = np.zeros((3, 4)) if zero_grad else None
+            adam_step({"w": p}, m, v, t=2, cfg=cfg, live=live)
+            assert not np.array_equal(p.data, after_one), "non-zero moments move the tensor"
+            runs.append((p.data.copy(), m["w"].copy(), v["w"].copy()))
+        assert [a.tobytes() for a in runs[0]] == [a.tobytes() for a in runs[1]]
+
+    def test_no_gradient_on_a_row_sparse_table_is_bitwise_an_explicit_zero_row_gradient(self, rng):
+        cfg = _tiny_cfg(lr=0.1)
+        start = rng.normal(size=(40, 4))
+        runs = []
+        for zero_grad in (False, True):
+            table = T.parameter(start.copy())
+            m, v, live = {"t": np.zeros((40, 4))}, {"t": np.zeros((40, 4))}, {}
+            T.sum_all(T.tanh(T.take_rows(table, [3, 7, 7]))).backward()
+            adam_step({"t": table}, m, v, t=1, cfg=cfg, live=live)
+            after_one = table.data.copy()
+            if zero_grad:
+                T.sum_all(T.mul(T.take_rows(table, [3, 7]), T.constant(np.zeros((2, 4))))).backward()
+                assert T._grad_rows(table)[0].tolist() == [3, 7], "a zero row pair on the live rows"
+            adam_step({"t": table}, m, v, t=2, cfg=cfg, live=live)
+            assert live["t"].tolist() == [3, 7]
+            assert not np.array_equal(table.data[[3, 7]], after_one[[3, 7]]), "live rows with non-zero moments move"
+            runs.append((table.data.copy(), m["t"].copy(), v["t"].copy()))
+        assert [a.tobytes() for a in runs[0]] == [a.tobytes() for a in runs[1]]
 
     def test_matches_scalar_recurrence_oracle(self, rng):
         cfg = _tiny_cfg(lr=0.003)
@@ -613,6 +649,22 @@ class TestTraining:
         assert result.best_epoch > 0, "a later best epoch, not the first"
         assert len(result.history) == result.best_epoch + patience + 1 < 12
         assert all(h["acc"] <= result.best_metric for h in result.history[result.best_epoch + 1 :])
+
+    @pytest.mark.parametrize(
+        "task, dev, unit",
+        [
+            ("snli", [RawPair(0, "", "a dog runs"), RawPair(2, "a cat sleeps", "  ")], "pair with two non-empty sentences"),
+            ("wikiqa", [RawPair(0, "who runs", "a dog runs", "q0"), RawPair(1, "who runs", "", "q0"), RawPair(0, "who sleeps", "a cat", "q1")], "positive pair with two non-empty sentences"),
+        ],
+        ids=["classify", "rank"],
+    )
+    def test_a_dev_split_that_cannot_be_scored_is_refused_before_the_first_step(self, monkeypatch, task, dev, unit):
+        steps = []
+        monkeypatch.setattr(trainer_mod, "adam_step", lambda *args, **kw: steps.append(args[3]))
+        pairs = _classify_pairs(24, seed=1) if task == "snli" else _ranking_pairs(4, seed=2)
+        with pytest.raises(DataError, match=f"^no dev score: the {len(dev)} dev records hold no {unit}$"):
+            train(_tiny_cfg(task=task), pairs, dev_pairs=dev)
+        assert steps == []
 
     @pytest.mark.parametrize("task", ["snli", "wikiqa"])
     def test_memory_peak_does_not_grow_with_steps(self, task):
