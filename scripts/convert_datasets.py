@@ -14,9 +14,11 @@ Supported source formats:
            DocumentTitle, SentenceID, Sentence, Label
            (WikiQA-{train,dev,test}.tsv)
 
-Blank lines, rows with the wrong column count and labels outside the
-task's label set (SNLI's "-" included) are skipped. A record that cannot
-be read exits 2 naming the file and line; the output is written atomically.
+Blank lines are passed over. Rows with the wrong column count and labels
+outside the task's label set (SNLI's "-" included) are skipped, and their
+count is printed on stderr as `skipped=N`. A record that cannot be read,
+or a release that yields no record, exits 2 naming the file; the output
+is written atomically, so a failed run leaves an earlier output intact.
 
     python3 scripts/convert_datasets.py snli --in snli_1.0_train.jsonl --out data/snli_train.tsv
 """
@@ -67,11 +69,15 @@ def _text(record, key):
 
 
 def convert(dataset, src, out):
-    """Write `src`, a release in `dataset`'s format, to `out` as normalized TSV; returns the record count."""
+    """Write `src`, a release in `dataset`'s format, to `out` as normalized TSV.
+
+    Returns the counts of records written and of rows skipped; a release
+    with no record to write raises DataError and writes nothing.
+    """
     names, label_key, a_key, b_key, group_key = FORMATS[dataset]
     read = _json_record if names is None else _tsv_record
     labels = TASKS[dataset].labels
-    n = 0
+    n = skipped = 0
     with _write_atomic(out) as fh:
         for line_no, line in _text_lines(src, DataError):
             if not line.strip():
@@ -85,13 +91,16 @@ def convert(dataset, src, out):
                     continue
                 record = read(line, names)
                 if record is None or record.get(label_key, "-") not in labels:
+                    skipped += 1
                     continue
                 fields = [record[label_key], _text(record, a_key), _text(record, b_key)] + ([record[group_key]] if group_key else [])
                 fh.write(("\t".join(fields) + "\n").encode("utf-8"))
             except ValueError as exc:  # a UnicodeEncodeError of a lone surrogate from JSON too
                 raise DataError(f"{src}:{line_no}: {exc}") from None
             n += 1
-    return n
+        if n == 0:
+            raise DataError(f"{src}: no {dataset} record to write (skipped={skipped})")
+    return n, skipped
 
 
 def main():
@@ -102,7 +111,9 @@ def main():
     args = parser.parse_args()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    n = convert(args.dataset, args.src, out)
+    n, skipped = convert(args.dataset, args.src, out)
+    if skipped:
+        print(f"skipped={skipped}", file=sys.stderr)
     print(f"wrote {n} records to {out}")
 
 

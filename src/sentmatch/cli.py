@@ -136,7 +136,7 @@ def cmd_predict(args):
     pairs = read_dataset(args.data, ck.config.task)
     model = MatchModel(ck.config, ck.params, provider=provider)
     spec = task_spec(ck.config.task)
-    batches, skipped = build_batches(pairs, ck.vocab, spec, ck.config.batch_size, shuffle_seed=None, max_len=ck.config.effective_max_len)
+    batches, skipped = build_batches(pairs, ck.vocab, ck.config.effective_max_len, ck.config.batch_size)
     if skipped:
         print(f"skipped={skipped}", file=sys.stderr)
     for batch, out in zip(batches, forward_batches(model, batches)):
@@ -159,7 +159,7 @@ def cmd_ablate(args):
     out_dir = _out_path(args.out) if args.out else None
     if out_dir:
         _echo_config(cfg, out_dir)
-    rows = run_ablations(cfg, train_pairs, dev_pairs, static_matrix=static, provider=provider)
+    rows = run_ablations(cfg, train_pairs, dev_pairs, vocab=vocab, static_matrix=static, provider=provider)
     lines = [
         f"variant={variant} fingerprint={fp} metric={metric:.4f} delta={delta:+.4f}"
         for variant, fp, metric, delta in rows

@@ -1,7 +1,8 @@
 """Dataset reading, tokenization, batching, and ranking-triple assembly.
 
 Batching stacks tokenized pairs into a padded `Batch`, the model's only
-input.
+input: `build_batches` for a raw split in input order, `batch_pairs` for
+pairs tokenized once (training shuffles them by seed).
 
 All four tasks share one normalized input schema: UTF-8 TSV with
 `label \t sentence_a \t sentence_b` and, for the ranking task, a fourth
@@ -187,18 +188,14 @@ def _make_batch(chunk):
     return Batch(ids_a, mask_a, ids_b, mask_b, labels, chunk)
 
 
-def build_batches(pairs, vocab, task, batch_size, shuffle_seed=None, max_len=None):
-    """Tokenized, padded batches; order is deterministic under the seed.
+def build_batches(pairs, vocab, cap, batch_size):
+    """A raw split's padded batches in input order (evaluation relies on it), and its skip count.
 
-    Rows are padded to the longest sentence in their batch, which never
-    exceeds the task cap (or `max_len` when given). With no seed the
-    input order is preserved, which evaluation relies on for stable
-    group ordering.
+    Sentences are cut to `cap` tokens (see `tokenize_pairs`); rows are
+    padded to the longest sentence in their batch.
     """
-    spec = task_spec(task) if isinstance(task, str) else task
-    cap = spec.max_len if max_len is None else max_len
     tokenized, skipped = tokenize_pairs(pairs, vocab, cap)
-    return batch_pairs(tokenized, batch_size, shuffle_seed), skipped
+    return batch_pairs(tokenized, batch_size), skipped
 
 
 def batch_pairs(tokenized, batch_size, shuffle_seed=None):

@@ -112,15 +112,14 @@ class MatchModel:
         Padded rows are forced to zero and dropout at `rate` applies right
         after lookup (`tensor.embed_rows`).
         """
-        ctx_dim = self.cfg.effective_contextual_dim
         contexts = None
-        if ctx_dim > 0:
+        if self.cfg.effective_contextual_dim > 0:
             fetched = {}
             for toks, sid in zip(tokens, sids):
                 if sid not in fetched:
                     fetched[sid] = self.provider.vectors(sid, toks)
             contexts = [fetched[sid] for sid in sids]
-        return T.embed_rows(self.params["embed.static"], ids, mask, contexts, ctx_dim, rate, rng)
+        return T.embed_rows(self.params["embed.static"], ids, mask, contexts, rate, rng)
 
     def forward_pair(self, batch, train=False, rng=None):
         """Class probabilities (classification) or scores (ranking), (batch, K).

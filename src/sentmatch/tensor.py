@@ -639,7 +639,7 @@ def _accumulate_gathered(r, idx, g):
     _accumulate_rows(r, rows, values)
 
 
-def embed_rows(table, ids, mask, contexts=None, ctx_dim=0, rate=0.0, rng=None):
+def embed_rows(table, ids, mask, contexts=None, rate=0.0, rng=None):
     """One side's word inputs: table rows joined to constant contextual rows, masked, dropped out.
 
     Equal, bit for bit and in its draws from `rng`, to
@@ -649,7 +649,7 @@ def embed_rows(table, ids, mask, contexts=None, ctx_dim=0, rate=0.0, rng=None):
     makes a (..., n, width) array at each step, this op writes one
     `ids.shape + (d + ctx_dim,)` buffer in place. `contexts` holds one
     (len_i, ctx_dim) array per item of `ids` (any float dtype, converted
-    on assignment), or is None when `ctx_dim` is 0. `rate` 0 (as at
+    on assignment), or is None for no contextual rows. `rate` 0 (as at
     inference) draws nothing. Only the table gets a gradient, through its
     row-sparse pair as in take_rows, so of the dropout draws only the
     table's columns are kept, as bool.
@@ -658,9 +658,10 @@ def embed_rows(table, ids, mask, contexts=None, ctx_dim=0, rate=0.0, rng=None):
         raise ShapeError(f"embed_rows expects a 2-d table, got {table.shape}")
     idx = np.asarray(ids, dtype=np.intp)
     d = table.shape[1]
-    if ctx_dim == 0:
+    if contexts is None:
         buf = table.data[idx]
     else:
+        ctx_dim = np.shape(contexts[0])[1]
         buf = np.zeros(idx.shape + (d + ctx_dim,))
         buf[..., :d] = table.data[idx]
         for row, rows in zip(buf, contexts):

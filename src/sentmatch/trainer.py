@@ -1,9 +1,10 @@
 """Adam training loop, evaluation, and ablation sweep.
 
-The loop is deliberately plain: each step runs one forward graph over
-the padded batch into one batch-mean loss, a single
-backward fills the parameter gradients, the global norm is clipped, and
-Adam applies the update.
+The loop is deliberately plain and the same for every task: each step
+runs one forward graph per padded batch of the step (one for
+classification, a positive and a negative for ranking) into one
+batch-mean loss, a single backward fills the parameter gradients, the
+global norm is clipped, and Adam applies the update.
 Everything stochastic (shuffling, dropout, negative sampling, weight
 init) is keyed off the config seed, so a (config, data) pair determines
 the loss history and the resulting checkpoint bitwise.
@@ -203,15 +204,29 @@ def _max_abs_grad(params):
     return float(np.max(peaks, initial=0.0))  # np.max, unlike max(), lets a nan win
 
 
-def _classification_loss(model, batch, train, rng):
-    probs = model.forward_pair(batch, train=train, rng=rng)
-    return cross_entropy(probs, batch.labels)
+def _epoch_steps(cfg, tokenized, groups, epoch):
+    """One epoch's steps: `(batch,)` over `tokenized` in a seeded order, or for ranking `(positives, negatives)`.
+
+    Row i of a ranking step's two batches is one triple sampled from
+    `groups`, the training split's candidates by question.
+    """
+    if task_spec(cfg.task).kind == "classify":
+        return [(b,) for b in batch_pairs(tokenized, cfg.batch_size, shuffle_seed=int(_seed_rng(cfg.seed, 3, epoch).integers(2**31)))]
+    triples = make_ranking_triples(groups, seed=int(_seed_rng(cfg.seed, 4, epoch).integers(2**31)))
+    order = _seed_rng(cfg.seed, 5, epoch).permutation(len(triples))
+    triples = [triples[i] for i in order]
+    positives = batch_pairs([pos for pos, _ in triples], cfg.batch_size)
+    negatives = batch_pairs([neg for _, neg in triples], cfg.batch_size)
+    return list(zip(positives, negatives))
 
 
-def _ranking_loss(model, pos_batch, neg_batch, train, rng):
-    pos = model.forward_pair(pos_batch, train=train, rng=rng)
-    neg = model.forward_pair(neg_batch, train=train, rng=rng)
-    return hinge_loss(pos, neg)
+def _step_loss(model, step, train, rng):
+    """One step's loss: cross-entropy of a `(batch,)` step, the pairwise hinge of a `(positives, negatives)` step.
+
+    Each batch runs one forward, in order, drawing dropout from `rng`.
+    """
+    outs = [model.forward_pair(batch, train=train, rng=rng) for batch in step]
+    return cross_entropy(outs[0], step[0].labels) if len(step) == 1 else hinge_loss(*outs)
 
 
 def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, vocab=None, log=None):
@@ -243,30 +258,22 @@ def train(cfg, train_pairs, dev_pairs=None, static_matrix=None, provider=None, v
     best_metric, best_epoch, best_ck = -np.inf, -1, None
     # each split is tokenized once; epochs only reorder the training pairs
     tokenized = tokenize_pairs(train_pairs, vocab, cfg.effective_max_len)[0]
-    if spec.kind == "rank":
-        groups = group_by_question(tokenized)
+    groups = group_by_question(tokenized) if spec.kind == "rank" else None
     if dev_pairs is not None:
-        dev_batches = build_batches(dev_pairs, vocab, spec, cfg.batch_size, shuffle_seed=None, max_len=cfg.effective_max_len)[0]
+        dev_batches = build_batches(dev_pairs, vocab, cfg.effective_max_len, cfg.batch_size)[0]
         # refused before the first step, not after an epoch: accuracy needs a pair, MAP a positive
         if not any(spec.kind == "classify" or (b.labels == 1).any() for b in dev_batches):
             unit = "pair" if spec.kind == "classify" else "positive pair"
             raise DataError(f"no dev score: the {len(dev_pairs)} dev records hold no {unit} with two non-empty sentences")
     for epoch in range(cfg.epochs):
         drop_rng = _seed_rng(cfg.seed, 2, epoch)
-        if spec.kind == "classify":
-            batches = batch_pairs(tokenized, cfg.batch_size, shuffle_seed=int(_seed_rng(cfg.seed, 3, epoch).integers(2**31)))
-            step_iter = [(b, None) for b in batches]
-        else:
-            step_iter = _ranking_steps(cfg, groups, epoch)
-        if not step_iter:
+        steps = _epoch_steps(cfg, tokenized, groups, epoch)
+        if not steps:
             unit = "pair with two non-empty sentences" if spec.kind == "classify" else "question with a positive and a negative"
             raise DataError(f"no training step: the {len(train_pairs)} training records hold no {unit}")
         losses = []
-        for batch_idx, (batch, neg) in enumerate(step_iter):
-            if spec.kind == "classify":
-                loss = _classification_loss(model, batch, train=True, rng=drop_rng)
-            else:
-                loss = _ranking_loss(model, batch, neg, train=True, rng=drop_rng)
+        for batch_idx, step in enumerate(steps):
+            loss = _step_loss(model, step, train=True, rng=drop_rng)
             loss.backward()
             # the graph goes now, not when the next step's forward is built
             value, loss = float(loss.data), None
@@ -318,20 +325,6 @@ def _untouched_zeros(shape):
     """
     count = int(np.prod(shape))
     return np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), dtype=np.float64, count=count).reshape(shape)
-
-
-def _ranking_steps(cfg, groups, epoch):
-    """(positive batch, negative batch) steps for one ranking epoch.
-
-    `groups` are the training split's tokenized candidates by question,
-    built once per run.
-    """
-    triples = make_ranking_triples(groups, seed=int(_seed_rng(cfg.seed, 4, epoch).integers(2**31)))
-    order = _seed_rng(cfg.seed, 5, epoch).permutation(len(triples))
-    triples = [triples[i] for i in order]
-    positives = batch_pairs([pos for pos, _ in triples], cfg.batch_size)
-    negatives = batch_pairs([neg for _, neg in triples], cfg.batch_size)
-    return list(zip(positives, negatives))
 
 
 # The least premise-side input-projection work, padded rows x (static_dim
@@ -399,7 +392,7 @@ def forward_batches(model, batches):
 def evaluate(model, pairs, vocab):
     """Deterministic metric report for a raw-record split."""
     cfg = model.cfg
-    batches, _ = build_batches(pairs, vocab, cfg.task, cfg.batch_size, shuffle_seed=None, max_len=cfg.effective_max_len)
+    batches, _ = build_batches(pairs, vocab, cfg.effective_max_len, cfg.batch_size)
     return _evaluate_batches(model, batches)
 
 
@@ -436,8 +429,8 @@ def _snapshot(model, epoch, vocab, copy=True):
 ABLATION_ORDER = ("full",) + TrainConfig.ABLATION_FLAGS
 
 
-def run_ablations(base_cfg, train_pairs, dev_pairs, static_matrix=None, provider=None):
-    """Train and evaluate the seven standard variants.
+def run_ablations(base_cfg, train_pairs, dev_pairs, vocab=None, static_matrix=None, provider=None):
+    """Train and evaluate the seven standard variants over `vocab`, the one `static_matrix` was built for.
 
     Returns rows of (variant, fingerprint, best dev metric, delta-vs-full)
     in the fixed order, full model first.
@@ -447,7 +440,7 @@ def run_ablations(base_cfg, train_pairs, dev_pairs, static_matrix=None, provider
     for variant in ABLATION_ORDER:
         # "full" is no flag: all off
         cfg = dataclasses.replace(base_cfg, **{flag: flag == variant for flag in TrainConfig.ABLATION_FLAGS})
-        result = train(cfg, train_pairs, dev_pairs, static_matrix=static_matrix, provider=provider)
+        result = train(cfg, train_pairs, dev_pairs, static_matrix=static_matrix, provider=provider, vocab=vocab)
         metric = result.best_metric
         if variant == "full":
             full_metric = metric

@@ -23,7 +23,7 @@ from sentmatch.interaction import h2p_attention, interact, merge, p2h_attention,
 from sentmatch.metrics import map_mrr
 from sentmatch.model import MatchModel, init_params
 from sentmatch.synthetic import make_classification_pairs
-from sentmatch.trainer import _classification_loss, run_ablations, train
+from sentmatch.trainer import _step_loss, run_ablations, train
 
 import oracles
 from test_tensor import _op_cases
@@ -41,7 +41,7 @@ def _tiny_model(seed, n_pairs=2, hidden=6, static=8, task="snli"):
     vocab = build_vocab(pairs)
     params = init_params(cfg, random_static_vectors(vocab, static, seed=seed), seed=seed)
     model = MatchModel(cfg, params)
-    batches, _ = build_batches(pairs, vocab, "snli", batch_size=n_pairs)
+    batches, _ = build_batches(pairs, vocab, 64, batch_size=n_pairs)
     return model, batches[0]
 
 
@@ -106,7 +106,7 @@ def test_criterion_1_gradient_suite():
         assert T.grad_check(inter_op, inter_inputs, tolerance=1e-4).passed
     # end-to-end classification loss at sampled parameter coordinates
     model, batch = _tiny_model(seed=0)
-    _sampled_loss_fd(model, batch, lambda: _classification_loss(model, batch, train=False, rng=None), n_coords=40, seed=1, tol=1e-3)
+    _sampled_loss_fd(model, batch, lambda: _step_loss(model, (batch,), train=False, rng=None), n_coords=40, seed=1, tol=1e-3)
     # end-to-end ranking loss
     rk_model, rk_batch = _tiny_model(seed=2, task="wikiqa")
 
@@ -289,7 +289,7 @@ def test_criterion_8_masking_soundness():
     vocab = build_vocab(pairs)
     params = init_params(cfg, random_static_vectors(vocab, cfg.static_dim, seed=4), seed=4)
     model = MatchModel(cfg, params)
-    batches, _ = build_batches(pairs, vocab, cfg.task, batch_size=12)
+    batches, _ = build_batches(pairs, vocab, cfg.effective_max_len, batch_size=12)
     padded = [p for p in batches[0].pairs if p.mask_a.min() == 0.0 or p.mask_b.min() == 0.0]
     assert padded, "fixture must contain padded rows"
     eval_before = [model.forward_pair(p).data.tobytes() for p in padded]

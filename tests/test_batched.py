@@ -17,7 +17,7 @@ from sentmatch.embedding import StubContextualProvider, random_static_vectors
 from sentmatch.heads import cross_entropy, hinge_loss
 from sentmatch.model import MatchModel, init_params
 from sentmatch.synthetic import make_classification_pairs, make_ranking_groups
-from sentmatch.trainer import _classification_loss, _ranking_loss, _ranking_steps
+from sentmatch.trainer import _epoch_steps, _step_loss
 
 LABELS = {"entailment": 0, "contradiction": 1, "neutral": 2}
 VARIANTS = ["full", "meanmax", "no_alignment", "no_fusion", "no_self_attention", "only_h2p", "only_p2h"]
@@ -36,7 +36,7 @@ def _desk(variant="full", dropout=0.0):
     cfg = TrainConfig(task="snli", static_dim=10, contextual_dim=0, hidden=8, batch_size=12, seed=5, dropout=dropout, **flags)
     pairs = [RawPair(LABELS[l], a, b) for l, a, b in make_classification_pairs(12, seed=6)]
     model, vocab = _model(cfg, pairs)
-    (batch,), _ = build_batches(pairs, vocab, cfg.task, cfg.batch_size)
+    (batch,), _ = build_batches(pairs, vocab, cfg.effective_max_len, cfg.batch_size)
     return model, batch
 
 
@@ -51,7 +51,7 @@ def _paper(dropout=0.0):
 
     pairs = [RawPair(i % 3, sentence(5, 40), sentence(3, 12)) for i in range(6)]
     model, vocab = _model(cfg, pairs)
-    (batch,), _ = build_batches(pairs, vocab, cfg.task, cfg.batch_size)
+    (batch,), _ = build_batches(pairs, vocab, cfg.effective_max_len, cfg.batch_size)
     return model, batch
 
 
@@ -60,8 +60,8 @@ def _wikiqa(dropout=0.0):
     cfg = TrainConfig(task="wikiqa", static_dim=10, contextual_dim=6, hidden=8, batch_size=8, seed=9, dropout=dropout)
     pairs = [RawPair(int(l), a, b, g) for l, a, b, g in make_ranking_groups(8, seed=10)]
     model, vocab = _model(cfg, pairs)
-    groups = group_by_question(tokenize_pairs(pairs, vocab, cfg.effective_max_len)[0])
-    pos, neg = _ranking_steps(cfg, groups, epoch=0)[0]
+    tokenized = tokenize_pairs(pairs, vocab, cfg.effective_max_len)[0]
+    pos, neg = _epoch_steps(cfg, tokenized, group_by_question(tokenized), epoch=0)[0]
     return model, pos, neg
 
 
@@ -129,13 +129,12 @@ def _per_pair_rows(model, batch):
 @pytest.mark.parametrize("fixture", ["desk", "wikiqa", "paper"])
 def test_batched_loss_gradients_match_the_per_pair_loss(fixture):
     model, batches = _batches(fixture)
+    batched = _step_loss(model, tuple(batches), train=False, rng=None)
     if fixture == "wikiqa":
         pos, neg = batches
-        batched = _ranking_loss(model, pos, neg, train=False, rng=None)
         joined = hinge_loss(_per_pair_rows(model, pos), _per_pair_rows(model, neg))
     else:
         (batch,) = batches
-        batched = _classification_loss(model, batch, train=False, rng=None)
         joined = cross_entropy(_per_pair_rows(model, batch), batch.labels)
     assert batched.data.tobytes() == joined.data.tobytes()
     got, want = _grads(model, batched), _grads(model, joined)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sentmatch.config import TrainConfig
 
 import oracles
 
+DATA = Path(__file__).resolve().parents[1] / "data"
 TINY = ["--static_dim", "12", "--contextual_dim", "0", "--hidden", "8", "--epochs", "1", "--batch_size", "16", "--seed", "3"]
 
 
@@ -252,6 +254,17 @@ class TestAblateCommand:
         got = [l.split()[0].split("=")[1] for l in lines]
         assert got == expected
         assert (out / "ablate.txt").exists()
+
+
+    def test_one_vocabulary_is_built_per_sweep(self, spy, tmp_path, capsys):
+        from sentmatch import cli, trainer
+
+        for module in (cli, trainer):
+            spy(module, "build_vocab")
+        code = main(["ablate", "--train", str(DATA / "tiny_train.tsv"), "--dev", str(DATA / "tiny_dev.tsv"), "--out", str(tmp_path / "abl"), *TINY])
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 7
+        assert spy.calls == ["build_vocab"]
 
 
 class TestContextualFlow:

@@ -3,6 +3,7 @@ import pytest
 
 from sentmatch.data import (
     RawPair,
+    batch_pairs,
     build_batches,
     build_vocab,
     group_by_question,
@@ -88,7 +89,7 @@ class TestBuildBatches:
     def test_mask_pattern(self):
         pairs = [RawPair(0, "a b c", "x y z p q"), RawPair(1, "a b c d e", "x")]
         vocab = build_vocab(pairs)
-        batches, skipped = build_batches(pairs, vocab, "snli", batch_size=8)
+        batches, skipped = build_batches(pairs, vocab, 64, batch_size=8)
         assert skipped == 0
         batch = batches[0]
         np.testing.assert_array_equal(batch.mask_a[0], [1, 1, 1, 0, 0])
@@ -97,14 +98,15 @@ class TestBuildBatches:
     def test_batch_never_exceeds_cap(self):
         pairs = [RawPair(0, " ".join(["w"] * 90), "short sentence here")]
         vocab = build_vocab(pairs)
-        batches, _ = build_batches(pairs, vocab, "snli", batch_size=4)
+        batches, _ = build_batches(pairs, vocab, 64, batch_size=4)
         assert batches[0].ids_a.shape[1] <= 64
 
     def test_identical_seed_gives_identical_order(self):
         pairs = [RawPair(i % 3, f"sentence {i} alpha", f"other {i}") for i in range(40)]
         vocab = build_vocab(pairs)
-        b1, _ = build_batches(pairs, vocab, "snli", batch_size=8, shuffle_seed=11)
-        b2, _ = build_batches(pairs, vocab, "snli", batch_size=8, shuffle_seed=11)
+        tokenized, _ = tokenize_pairs(pairs, vocab, cap=64)
+        b1 = batch_pairs(tokenized, batch_size=8, shuffle_seed=11)
+        b2 = batch_pairs(tokenized, batch_size=8, shuffle_seed=11)
         for x, y in zip(b1, b2):
             np.testing.assert_array_equal(x.ids_a, y.ids_a)
             np.testing.assert_array_equal(x.labels, y.labels)
@@ -112,21 +114,22 @@ class TestBuildBatches:
     def test_different_seed_changes_order(self):
         pairs = [RawPair(i % 3, f"sentence {i} alpha", f"other {i}") for i in range(40)]
         vocab = build_vocab(pairs)
-        b1, _ = build_batches(pairs, vocab, "snli", batch_size=40, shuffle_seed=11)
-        b2, _ = build_batches(pairs, vocab, "snli", batch_size=40, shuffle_seed=12)
+        tokenized, _ = tokenize_pairs(pairs, vocab, cap=64)
+        b1 = batch_pairs(tokenized, batch_size=40, shuffle_seed=11)
+        b2 = batch_pairs(tokenized, batch_size=40, shuffle_seed=12)
         assert not np.array_equal(b1[0].labels, b2[0].labels)
 
     def test_empty_sentence_skipped_and_counted(self):
         pairs = [RawPair(0, "   ", "fine here"), RawPair(1, "good text", "also fine")]
         vocab = build_vocab(pairs)
-        batches, skipped = build_batches(pairs, vocab, "snli", batch_size=4)
+        batches, skipped = build_batches(pairs, vocab, 64, batch_size=4)
         assert skipped == 1
         assert sum(len(b) for b in batches) == 1
 
     def test_no_shuffle_preserves_input_order(self):
         pairs = [RawPair(i % 2, f"text {i}", f"pair {i}", line_no=i + 1) for i in range(10)]
         vocab = build_vocab(pairs)
-        batches, _ = build_batches(pairs, vocab, "quora", batch_size=4)
+        batches, _ = build_batches(pairs, vocab, 48, batch_size=4)
         flat = [p.line_no for b in batches for p in b.items]
         assert flat == list(range(1, 11))
 

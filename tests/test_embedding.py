@@ -429,7 +429,7 @@ class TestStubProvider:
 
 def _pair(sent_a, sent_b, vocab, cap=16):
     """A one-row batch of the pair."""
-    (batch,), _ = build_batches([RawPair(0, sent_a, sent_b)], vocab, "snli", batch_size=1, max_len=cap)
+    (batch,), _ = build_batches([RawPair(0, sent_a, sent_b)], vocab, cap, batch_size=1)
     return batch
 
 
@@ -468,7 +468,7 @@ class TestEmbedPair:
         static[PAD] = 1e6  # a pad row that training moved: masking must still zero it
         provider = StubContextualProvider(3, seed=1)
         # batched with a longer sentence, "dog" is padded to three rows
-        (batch,), _ = build_batches([RawPair(0, "dog", "big dog runs"), RawPair(0, "big dog runs", "x")], vocab, "snli", batch_size=2)
+        (batch,), _ = build_batches([RawPair(0, "dog", "big dog runs"), RawPair(0, "big dog runs", "x")], vocab, 64, batch_size=2)
         pair = batch.pairs[0]
         x, _ = _embed(_model(static, 3, provider), pair)
         assert pair.mask_a.tolist() == [[1.0, 0.0, 0.0]]

@@ -55,7 +55,7 @@ def _build(cfg, pairs):
     params = init_params(cfg, static, seed=7)
     provider = StubContextualProvider(cfg.contextual_dim, seed=1) if cfg.effective_contextual_dim else None
     model = MatchModel(cfg, params, provider=provider)
-    batches, _ = build_batches(pairs, vocab, cfg.task, batch_size=len(pairs), max_len=cfg.effective_max_len)
+    batches, _ = build_batches(pairs, vocab, cfg.effective_max_len, batch_size=len(pairs))
     return model, batches[0]
 
 
@@ -149,7 +149,7 @@ class TestMaskingSoundness:
         static = random_static_vectors(vocab, cfg.static_dim, seed=cfg.seed)
         params = init_params(cfg, static, seed=7)
         model = MatchModel(cfg, params)
-        batches, _ = build_batches(pairs, vocab, cfg.task, batch_size=len(pairs))
+        batches, _ = build_batches(pairs, vocab, cfg.effective_max_len, batch_size=len(pairs))
         padded = [p for p in batches[0].pairs if p.mask_a.min() == 0.0 or p.mask_b.min() == 0.0]
         assert padded, "fixture must contain padded rows"
         before = [model.forward_pair(p).data.tobytes() for p in padded]

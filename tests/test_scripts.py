@@ -119,6 +119,38 @@ def test_convert_datasets_names_a_missing_input_and_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+QUORA_HEADER = "id\tqid1\tqid2\tquestion1\tquestion2\tis_duplicate\n"
+
+# (dataset, release text that yields no record, the skip count the error names)
+EMPTY_RELEASES = {
+    "an empty Quora file": ("quora", "", 0),
+    "a Quora file labelled only yes": ("quora", QUORA_HEADER + "0\t1\t2\tHow do I cook rice?\tHow is rice cooked?\tyes\n", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_RELEASES))
+def test_convert_datasets_refuses_a_release_that_yields_no_record(tmp_path, case):
+    dataset, text, skipped = EMPTY_RELEASES[case]
+    src, out = tmp_path / "release.tsv", tmp_path / "out.tsv"
+    src.write_text(text, encoding="utf-8")
+    out.write_bytes(b"an earlier output\n")
+    assert f"{src}: no {dataset} record to write (skipped={skipped})" in _fails("convert_datasets.py", dataset, "--in", src, "--out", out)
+    assert out.read_bytes() == b"an earlier output\n"
+    assert sorted(tmp_path.iterdir()) == [out, src], "no .tmp file"
+
+
+def test_convert_datasets_prints_the_count_of_skipped_rows_on_stderr(tmp_path):
+    lines, want = RELEASES["scitail"]
+    # one row of the release has the wrong column count; add one of four columns, an unknown label and blank lines
+    src, out = tmp_path / "release.tsv", tmp_path / "out.tsv"
+    src.write_text("\n" + lines + "A\tB\tentails\textra\nA cat sits.\tA cat rests.\tcontradicts\n\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, ROOT / "scripts" / "convert_datasets.py", "scitail", "--in", src, "--out", out], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {len(want)} records to {out}\n", "skipped=3\n")
+    assert [(p.label, p.sent_a, p.sent_b) for p in read_dataset(out, "scitail")] == [(p.label, p.sent_a, p.sent_b) for p in want]
+
+
 def test_failing_conversion_leaves_an_earlier_output_as_it_was(tmp_path):
     lines, _ = RELEASES["snli"]
     src = tmp_path / "release.jsonl"

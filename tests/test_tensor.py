@@ -216,7 +216,7 @@ def _batched_op_cases(rng):
         ("embed_rows", _weighted(lambda ins: T.embed_rows(ins[0], EMBED_IDS, EMBED_MASK)), [T.parameter(rng.normal(size=(5, 3)))]),
         (
             "embed_rows_ctx_dropout",
-            _weighted(lambda ins: T.embed_rows(ins[0], EMBED_IDS, EMBED_MASK, EMBED_CONTEXTS, 2, 0.3, np.random.default_rng(7))),
+            _weighted(lambda ins: T.embed_rows(ins[0], EMBED_IDS, EMBED_MASK, EMBED_CONTEXTS, 0.3, np.random.default_rng(7))),
             [T.parameter(rng.normal(size=(5, 3)))],
         ),
         # the fusion layer's features: one input reaches the concat along three paths
@@ -367,7 +367,7 @@ class TestBoolMasks:
     def test_embed_rows(self, data, rate, ctx_dim, seed):
         table = T.parameter(np.linspace(-1.0, 1.0, 15).reshape(5, 3))
         contexts = EMBED_CONTEXTS if ctx_dim else None
-        out = T.embed_rows(table, EMBED_IDS, EMBED_MASK, contexts, ctx_dim, rate, np.random.default_rng(seed))
+        out = T.embed_rows(table, EMBED_IDS, EMBED_MASK, contexts, rate, np.random.default_rng(seed))
         g = data.draw(hnp.arrays(np.float64, out.shape, elements=_EDGE_FLOATS))
         out._record._vjp(g)
         draws = np.random.default_rng(seed).random(out.shape) if rate else None
@@ -752,11 +752,14 @@ EMBED_SIDES = [
 
 
 def _embed_sides(embed, table, contexts, ctx_dim, rate, rng):
-    """Both sides' embeddings in the model's order: side a's draws, then side b's."""
+    """Both sides' embeddings in the model's order: side a's draws, then side b's.
+
+    `embed` takes embed_rows' arguments; `contexts` are read only when `ctx_dim` is not 0.
+    """
     outs = []
     for (ids, lengths), side_contexts in zip(EMBED_SIDES, contexts):
         mask = (np.arange(len(ids[0])) < np.array(lengths)[:, None]).astype(np.float64)
-        outs.append(embed(table, np.array(ids), mask, side_contexts if ctx_dim else None, ctx_dim, rate, rng))
+        outs.append(embed(table, np.array(ids), mask, side_contexts if ctx_dim else None, rate, rng))
     return outs
 
 
@@ -771,7 +774,10 @@ class TestEmbedRows:
         table_data[0] = -np.abs(table_data[0]) - 0.5  # a <pad> row of negatives: masking leaves -0.0
         contexts = [[rng.uniform(-0.5, 0.5, size=(n, ctx_dim)).astype(np.float32) for n in lengths] for _, lengths in EMBED_SIDES]
         runs = []
-        for embed in (T.embed_rows, lambda *args: oracles.embed_rows_composed(T, *args)):
+        def composed(table, ids, mask, contexts, rate, rng):
+            return oracles.embed_rows_composed(T, table, ids, mask, contexts, ctx_dim, rate, rng)
+
+        for embed in (T.embed_rows, composed):
             table = T.Tensor(table_data.copy(), requires_grad=not frozen)
             draws = np.random.default_rng(100 + seed)
             outs = _embed_sides(embed, table, contexts, ctx_dim, rate, draws)
@@ -795,12 +801,17 @@ class TestEmbedRows:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            out = T.embed_rows(table, np.ones((4, 16), dtype=np.intp), np.ones((4, 16)), contexts, 120, 0.5, np.random.default_rng(0))
+            out = T.embed_rows(table, np.ones((4, 16), dtype=np.intp), np.ones((4, 16)), contexts, 0.5, np.random.default_rng(0))
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the (4, 16, 128) output plus a (4, 16, 8) scale, not a whole-width one
         assert held < 1.25 * out.data.nbytes, f"the node holds {held / out.data.nbytes:.2f} outputs"
+
+    def test_width_comes_from_the_contexts(self):
+        table = T.parameter(np.ones((4, 3)))
+        out = T.embed_rows(table, [[1, 2], [3, 0]], np.ones((2, 2)), [np.ones((2, 5)), np.ones((1, 5))])
+        assert out.shape == (2, 2, 8)
 
 
 # magnitudes from 1e-150 to 1e150 with both signs, and both zeros
@@ -854,7 +865,7 @@ def _loss_firing_in_order(table, events):
         else:
             ids, mask, ctx_dim, _ = args
             contexts = [np.zeros((ids.shape[1], ctx_dim))] * len(ids) if ctx_dim else None
-            out = T.embed_rows(table, ids, mask, contexts, ctx_dim)
+            out = T.embed_rows(table, ids, mask, contexts)
         term = T.sum_all(T.mul(out, T.constant(args[-1])))
         loss = term if loss is None else T.add(loss, term)
     return loss

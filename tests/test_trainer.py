@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from sentmatch import tensor as T
 from sentmatch.checkpoint import load_checkpoint, save_checkpoint
 from sentmatch.config import TrainConfig
-from sentmatch.data import RawPair, build_vocab
+from sentmatch.data import RawPair, build_vocab, group_by_question, tokenize_pairs
 from sentmatch.embedding import StubContextualProvider, Vocab
 from sentmatch.errors import DataError, NumericalError
 from sentmatch.metrics import map_mrr
@@ -511,21 +511,24 @@ class TestTraining:
         pairs = _classify_pairs(12, seed=5)
         import sentmatch.trainer as trainer_mod
 
-        def poisoned(model, batch, train, rng):
+        def poisoned(model, step, train, rng):
+            (batch,) = step
             return T.mul_const(trainer_mod.cross_entropy(
                 T.concat([model.forward_pair(p, train=train, rng=rng) for p in batch.pairs], axis=0),
                 batch.labels,
             ), np.nan)
 
-        monkeypatch.setattr(trainer_mod, "_classification_loss", poisoned)
+        monkeypatch.setattr(trainer_mod, "_step_loss", poisoned)
         with pytest.raises(NumericalError, match=r"epoch 0 batch 0.*max\|grad\|"):
             train(_tiny_cfg(epochs=1), pairs)
 
     def test_nan_gradients_report_a_nan_max(self, monkeypatch):
-        def poisoned(model, batch, train, rng):
-            return T.mul_const(trainer_mod.cross_entropy(model.forward_pair(batch, train=train, rng=rng), batch.labels), np.nan)
+        step_loss = trainer_mod._step_loss
 
-        monkeypatch.setattr(trainer_mod, "_classification_loss", poisoned)
+        def poisoned(model, step, train, rng):
+            return T.mul_const(step_loss(model, step, train, rng), np.nan)
+
+        monkeypatch.setattr(trainer_mod, "_step_loss", poisoned)
         with pytest.raises(NumericalError, match=r"max\|grad\|=nan$"):
             train(_tiny_cfg(epochs=1), _classify_pairs(12, seed=5))
 
@@ -540,18 +543,18 @@ class TestTraining:
         assert T._grad_rows(table) is not None, "the pair is read, not flushed"
 
     def test_nan_loss_message_reads_the_table_pair_without_flushing_it(self, monkeypatch):
-        built, init_params = [], trainer_mod.init_params
+        built, init_params, step_loss = [], trainer_mod.init_params, trainer_mod._step_loss
 
         def kept_init_params(*args, **kwargs):
             built.append(init_params(*args, **kwargs))
             return built[-1]
 
-        def nan_loss(model, batch, train, rng):
+        def nan_loss(model, step, train, rng):
             # a NaN constant added to the loss leaves every gradient finite
-            return T.add(trainer_mod.cross_entropy(model.forward_pair(batch, train=train, rng=rng), batch.labels), T.constant(np.nan))
+            return T.add(step_loss(model, step, train, rng), T.constant(np.nan))
 
         monkeypatch.setattr(trainer_mod, "init_params", kept_init_params)
-        monkeypatch.setattr(trainer_mod, "_classification_loss", nan_loss)
+        monkeypatch.setattr(trainer_mod, "_step_loss", nan_loss)
         with pytest.raises(NumericalError, match=r"max\|grad\|=") as info:
             train(_tiny_cfg(epochs=1), _classify_pairs(12, seed=5))
         params = built[0]
@@ -580,14 +583,14 @@ class TestTraining:
         assert spy.calls == ["tokenize_pairs", "tokenize_pairs"]  # the training split, then dev
 
     def test_batches_from_one_tokenization_equal_each_epochs_retokenized_batches(self, tmp_path, monkeypatch):
-        from sentmatch.data import build_batches
+        from sentmatch.data import batch_pairs, tokenize_pairs
 
         pairs, dev = _classify_pairs(23, seed=27), _classify_pairs(7, seed=28)
         cfg = _tiny_cfg(epochs=3, batch_size=5)
         vocab = build_vocab(pairs)
 
         def retokenized(tokenized, batch_size, shuffle_seed=None):
-            return build_batches(pairs, vocab, cfg.task, batch_size, shuffle_seed=shuffle_seed, max_len=cfg.effective_max_len)[0]
+            return batch_pairs(tokenize_pairs(pairs, vocab, cfg.effective_max_len)[0], batch_size, shuffle_seed)
 
         blobs, histories = [], []
         for patch in (False, True):
@@ -696,6 +699,38 @@ class TestTraining:
         assert peaks[1] < 1.3 * peaks[0], f"4 steps peaked at {peaks[1] / peaks[0]:.2f}x one step"
 
 
+class TestEpochSteps:
+    def test_classification_steps_partition_the_pairs_once_per_epoch_in_the_seeded_order(self):
+        cfg = _tiny_cfg(batch_size=5)
+        pairs = _classify_pairs(23, seed=30)
+        tokenized = tokenize_pairs(pairs, build_vocab(pairs), cfg.effective_max_len)[0]
+        orders = []
+        for epoch in range(3):
+            steps = trainer_mod._epoch_steps(cfg, tokenized, None, epoch)
+            assert [len(step) for step in steps] == [1] * 5
+            assert [len(batch) for (batch,) in steps] == [5, 5, 5, 5, 3]
+            seed = int(trainer_mod._seed_rng(cfg.seed, 3, epoch).integers(2**31))
+            want = [tokenized[i] for i in np.random.default_rng(seed).permutation(len(tokenized))]
+            got = [pair for (batch,) in steps for pair in batch.items]
+            assert list(map(id, got)) == list(map(id, want))
+            orders.append(list(map(id, got)))
+        assert orders[0] != orders[1], "each epoch has its own order"
+
+    def test_ranking_steps_pair_a_positive_and_a_negative_of_one_question_row_by_row(self):
+        cfg = _tiny_cfg(task="wikiqa", batch_size=4)
+        pairs = _ranking_pairs(6, seed=31)
+        tokenized = tokenize_pairs(pairs, build_vocab(pairs), cfg.effective_max_len)[0]
+        groups = group_by_question(tokenized)
+        n_positives = sum(p.label == 1 for p in tokenized)
+        for epoch in range(2):
+            steps = trainer_mod._epoch_steps(cfg, tokenized, groups, epoch)
+            assert {len(step) for step in steps} == {2}
+            for pos, neg in steps:
+                assert pos.labels.tolist() == [1] * len(pos) and neg.labels.tolist() == [0] * len(neg)
+                assert [p.group_id for p in pos.items] == [p.group_id for p in neg.items]
+            assert sum(len(pos) for pos, _ in steps) == n_positives, "every positive once an epoch"
+
+
 class TestEvaluate:
     def test_zero_head_on_balanced_data_is_chance(self):
         pairs = _classify_pairs(30, seed=8)
@@ -725,7 +760,7 @@ class TestEvaluate:
         # recompute through the public metric on the model's own scores
         from sentmatch.data import build_batches
 
-        batches, _ = build_batches(pairs, result.checkpoint.vocab, "wikiqa", 8)
+        batches, _ = build_batches(pairs, result.checkpoint.vocab, cfg.effective_max_len, 8)
         for batch in batches:
             for row, pair in zip(batch.pairs, batch.items):
                 scored[pair.group_id].append((float(result.model.forward_pair(row).data[0, 0]), pair.label == 1))
